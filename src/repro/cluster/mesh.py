@@ -60,7 +60,7 @@ class DeviceMesh:
         """Stable identifier used to key per-mesh predictors and noise."""
         base = (f"{self.n_nodes}x{self.gpus_per_node}-{self.gpu.name}"
                 f"-{self.intra_link.name}-{self.inter_link.name}")
-        if self.host_link is not PCIE4:  # non-default host bridge
+        if self.host_link != PCIE4:  # non-default host bridge
             base += f"-host:{self.host_link.name}"
         return base
 

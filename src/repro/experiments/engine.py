@@ -11,15 +11,16 @@ This module provides:
 * :func:`n_jobs` — the worker count, from ``REPRO_JOBS`` (default
   ``os.cpu_count()``); ``REPRO_JOBS=1`` preserves the serial path
   exactly;
-* :func:`parallel_map` — ordered map over a fork-based process pool,
-  degrading to the plain serial loop (with a warning) when a pool
-  cannot be created;
-* :func:`supervised_map` — the fault-tolerant map: one forked worker
-  process per item, per-cell timeouts (``REPRO_CELL_TIMEOUT``), bounded
-  retries with exponential backoff (``REPRO_CELL_RETRIES`` /
-  ``REPRO_RETRY_BACKOFF``), dead-worker detection with resubmission,
-  and partial-failure accounting — the map returns completed results
-  plus structured :class:`CellFailure` records instead of raising;
+* :func:`parallel_map` — ordered map over the persistent fork-based
+  worker pool (:mod:`~repro.experiments.pool`), degrading to the plain
+  serial loop (with a warning) when the pool cannot be created;
+* :func:`supervised_map` — the fault-tolerant map over the same pool:
+  per-cell timeouts (``REPRO_CELL_TIMEOUT``), bounded retries with
+  exponential backoff (``REPRO_CELL_RETRIES`` /
+  ``REPRO_RETRY_BACKOFF``), dead-worker detection with respawn and
+  resubmission, and partial-failure accounting — the map returns
+  completed results plus structured :class:`CellFailure` records instead
+  of raising;
 * :func:`run_grid` / :func:`run_grid_report` — the Table V/VI cell grid
   through the supervisor, journaled to the run manifest
   (``.repro_cache/manifest.jsonl``).
@@ -41,12 +42,10 @@ the serial loop via :mod:`repro.faults` (``REPRO_FAULTS``).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .. import faults
@@ -60,11 +59,6 @@ R = TypeVar("R")
 
 #: set in pool workers so nested calls degrade to the serial path
 _IN_WORKER = False
-
-#: the mapped callable, installed in the parent immediately before the
-#: fork so children inherit it by memory copy rather than by pickling
-#: (lets parallel_map accept closures and bound methods)
-_WORKER_FN: Callable[[Any], Any] | None = None
 
 #: consecutive process-spawn failures before the supervisor declares the
 #: pool unhealthy and degrades to the serial path
@@ -113,17 +107,6 @@ def retry_backoff() -> float:
     return max(0.0, _env_float("REPRO_RETRY_BACKOFF", 0.05))
 
 
-def _init_worker() -> None:
-    global _IN_WORKER
-    _IN_WORKER = True
-    faults.mark_worker()
-
-
-def _invoke(item: Any) -> Any:
-    assert _WORKER_FN is not None
-    return _WORKER_FN(item)
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -140,21 +123,18 @@ def parallel_map(
     the fork — so closures over live objects (profilers, searchers) are
     fine.
 
-    By default the map runs over the :mod:`~repro.experiments.pool`
-    persistent workers, which survive across calls (caches stay warm,
-    no per-call fork/teardown); the pool restarts itself whenever ``fn``
-    or the ``REPRO_*`` environment changes, so repeated maps over one
-    stable callable are the fast path.  ``REPRO_POOL=off`` restores the
-    legacy one-pool-per-call behavior; both are bit-identical to the
-    serial loop.
+    The map runs over the :mod:`~repro.experiments.pool` persistent
+    workers, which survive across calls (caches stay warm, no per-call
+    fork/teardown); the pool restarts itself whenever ``fn`` or the
+    ``REPRO_*`` environment changes, so repeated maps over one stable
+    callable are the fast path.  Results are bit-identical to the serial
+    loop.
     """
     items = list(items)
     jobs = n_jobs() if jobs is None else max(1, jobs)
     jobs = min(jobs, len(items))
     if jobs <= 1 or len(items) < 2:
         return [fn(x) for x in items]
-    if not pool_mod.pool_enabled():
-        return _legacy_parallel_map(fn, items, jobs)
     try:
         workers = pool_mod.get_pool(fn, jobs)
     except ValueError:  # pragma: no cover - non-POSIX, no fork context
@@ -164,32 +144,6 @@ def parallel_map(
                       f"running {len(items)} items serially", stacklevel=2)
         return [fn(x) for x in items]
     return pool_mod.map_ordered(workers, items, jobs)
-
-
-def _legacy_parallel_map(
-    fn: Callable[[T], R],
-    items: list[T],
-    jobs: int,
-) -> list[R]:
-    """The pre-persistent-pool path: one fork pool per call."""
-    global _WORKER_FN
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return [fn(x) for x in items]
-    prev = _WORKER_FN
-    _WORKER_FN = fn
-    try:
-        try:
-            pool = ctx.Pool(jobs, initializer=_init_worker)
-        except OSError as exc:
-            warnings.warn(f"process pool unavailable ({exc}); "
-                          f"running {len(items)} items serially", stacklevel=2)
-            return [fn(x) for x in items]
-        with pool:
-            return pool.map(_invoke, items)
-    finally:
-        _WORKER_FN = prev
 
 
 # --------------------------------------------------------- fault supervision
@@ -216,45 +170,6 @@ class MapOutcome:
     attempts: int = 0
     #: ``parallel``, ``serial``, or ``degraded`` (parallel → serial mid-run)
     mode: str = "parallel"
-
-
-class _Task:
-    """Supervisor bookkeeping for one in-flight attempt."""
-
-    __slots__ = ("index", "attempt", "proc", "conn", "deadline")
-
-    def __init__(self, index, attempt, proc, conn, deadline):
-        self.index = index
-        self.attempt = attempt
-        self.proc = proc
-        self.conn = conn
-        self.deadline = deadline
-
-
-def _supervised_child(conn, index: int, attempt: int, item: Any) -> None:
-    """Worker body: one forked process per attempt.
-
-    Exits via ``os._exit`` so a child never runs the parent's cleanup
-    handlers; an abrupt death (real or injected) reaches the supervisor
-    as pipe-EOF + nonzero exit status, exactly like an OOM kill.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    faults.mark_worker()
-    try:
-        faults.fire("worker_crash", index, attempt)
-        faults.fire("cell_hang", index, attempt)
-        result = _invoke(item)
-        conn.send(("ok", result))
-        conn.close()
-    except BaseException as exc:  # noqa: BLE001 - report, then die
-        try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-            conn.close()
-        except Exception:
-            pass
-        os._exit(1)
-    os._exit(0)
 
 
 def _serial_supervised(
@@ -306,29 +221,47 @@ def _serial_supervised(
     return outcome
 
 
-def _pool_supervised(
+def supervised_map(
     fn: Callable[[T], Any],
-    items: list[T],
-    outcome: MapOutcome,
-    jobs: int,
-    timeout: float,
-    retries: int,
-    backoff: float,
-    labels: Sequence[str],
-    manifest_root,
-    run_id: str,
+    items: Iterable[T],
+    jobs: int | None = None,
+    timeout: float | None = None,
+    retries: int | None = None,
+    backoff: float | None = None,
+    labels: Sequence[str] | None = None,
+    manifest_root=None,
+    run_id: str = "",
 ) -> MapOutcome:
-    """:func:`supervised_map` over the persistent worker pool.
+    """Ordered map with supervision: crashes, hangs, and exceptions in
+    ``fn`` cost retries, not the run.
 
-    Same retry/timeout/accounting contract as the legacy per-attempt
-    fork loop, but attempts lease long-lived workers instead of paying a
-    fork each: a worker that crashes (pipe EOF) or blows its deadline
-    (killed) is replaced and the attempt is resubmitted with backoff;
-    fault sites fire inside the worker per (index, attempt), so chaos
-    plans reproduce exactly as before.  If the pool cannot be (re)built
-    the remaining cells finish serially (``mode="degraded"``).
+    Attempts lease workers of the :mod:`~repro.experiments.pool`
+    persistent pool (``fn`` crosses by fork inheritance, items and
+    results by pickling).  A worker that dies (``crash``) or exceeds
+    ``timeout`` seconds (``timeout``; killed) is replaced, and the
+    attempt — like one that raised (``exception``) — is resubmitted up
+    to ``retries`` times with exponential backoff; fault sites fire
+    inside the worker per (index, attempt), as in the serial loop.  An
+    item that exhausts its retries yields ``None`` in ``results`` plus a
+    :class:`CellFailure`, and every attempt is journaled to the manifest
+    under ``manifest_root``.  If workers cannot be (re)spawned the
+    supervisor declares the pool unhealthy and finishes the remaining
+    items serially (``mode="degraded"``).
     """
+    items = list(items)
     n = len(items)
+    jobs = n_jobs() if jobs is None else max(1, jobs)
+    jobs = min(jobs, max(1, n))
+    timeout = cell_timeout() if timeout is None else max(0.0, timeout)
+    retries = cell_retries() if retries is None else max(0, retries)
+    backoff = retry_backoff() if backoff is None else max(0.0, backoff)
+    labels = list(labels) if labels is not None else [f"item{i}" for i in range(n)]
+    outcome = MapOutcome(results=[None] * n)
+    if jobs <= 1 or n < 2:
+        outcome.mode = "serial"
+        return _serial_supervised(fn, items, outcome, list(range(n)),
+                                  retries, backoff, labels, manifest_root,
+                                  run_id)
 
     def _unhealthy(exc) -> None:
         warnings.warn(f"worker pool unhealthy ({exc}); degrading to "
@@ -474,183 +407,6 @@ def _pool_supervised(
         todo = sorted({index for index, _ in pending}
                       | {lease[0] for lease in inflight.values()})
         workers.abandon_inflight()
-        return _serial_supervised(fn, items, outcome, todo, retries,
-                                  backoff, labels, manifest_root, run_id)
-    return outcome
-
-
-def supervised_map(
-    fn: Callable[[T], Any],
-    items: Iterable[T],
-    jobs: int | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    backoff: float | None = None,
-    labels: Sequence[str] | None = None,
-    manifest_root=None,
-    run_id: str = "",
-) -> MapOutcome:
-    """Ordered map with supervision: crashes, hangs, and exceptions in
-    ``fn`` cost retries, not the run.
-
-    Each attempt runs in its own forked process (``fn`` crosses by
-    memory inheritance, the result by pickling).  A worker that dies
-    (``crash``), exceeds ``timeout`` seconds (``timeout``; killed), or
-    raises (``exception``) is resubmitted up to ``retries`` times with
-    exponential backoff; an item that exhausts its retries yields
-    ``None`` in ``results`` plus a :class:`CellFailure`, and every
-    attempt is journaled to the manifest under ``manifest_root``.  If
-    process spawning itself keeps failing the supervisor declares the
-    pool unhealthy and finishes the remaining items serially
-    (``mode="degraded"``).
-    """
-    global _WORKER_FN
-    items = list(items)
-    n = len(items)
-    jobs = n_jobs() if jobs is None else max(1, jobs)
-    jobs = min(jobs, max(1, n))
-    timeout = cell_timeout() if timeout is None else max(0.0, timeout)
-    retries = cell_retries() if retries is None else max(0, retries)
-    backoff = retry_backoff() if backoff is None else max(0.0, backoff)
-    labels = list(labels) if labels is not None else [f"item{i}" for i in range(n)]
-    outcome = MapOutcome(results=[None] * n)
-
-    try:
-        ctx = multiprocessing.get_context("fork") if jobs > 1 else None
-    except ValueError:  # pragma: no cover - non-POSIX
-        ctx = None
-    if ctx is None or n < 2:
-        outcome.mode = "serial"
-        return _serial_supervised(fn, items, outcome, list(range(n)),
-                                  retries, backoff, labels, manifest_root,
-                                  run_id)
-    if pool_mod.pool_enabled():
-        return _pool_supervised(fn, items, outcome, jobs, timeout, retries,
-                                backoff, labels, manifest_root, run_id)
-
-    prev = _WORKER_FN
-    _WORKER_FN = fn
-    pending: list[tuple[int, int]] = [(i, 0) for i in range(n)]
-    eligible_at: dict[int, float] = {}
-    running: dict[int, _Task] = {}
-    spawn_failures = 0
-    degraded = False
-
-    def _finish_attempt(task: _Task, failure_class: str, detail: str) -> None:
-        """Failed attempt: schedule a retry or record the final failure."""
-        if task.attempt < retries:
-            delay = backoff * (2 ** task.attempt)
-            eligible_at[task.index] = time.monotonic() + delay
-            pending.append((task.index, task.attempt + 1))
-            append_event(manifest_root, "cell_retry", run=run_id,
-                         index=task.index, label=labels[task.index],
-                         attempt=task.attempt, **{"class": failure_class},
-                         detail=detail)
-        else:
-            outcome.failures.append(CellFailure(
-                task.index, labels[task.index], task.attempt + 1,
-                failure_class, detail))
-            append_event(manifest_root, "cell_failed", run=run_id,
-                         index=task.index, label=labels[task.index],
-                         attempts=task.attempt + 1,
-                         **{"class": failure_class}, detail=detail)
-
-    def _reap(task: _Task) -> None:
-        task.conn.close()
-        task.proc.join(timeout=5.0)
-        if task.proc.is_alive():  # pragma: no cover - stuck in kernel
-            task.proc.kill()
-            task.proc.join()
-
-    try:
-        while pending or running:
-            now = time.monotonic()
-            # launch every eligible pending attempt into a free slot
-            launchable = [pa for pa in pending
-                          if eligible_at.get(pa[0], 0.0) <= now]
-            for index, attempt in launchable:
-                if len(running) >= jobs:
-                    break
-                pending.remove((index, attempt))
-                try:
-                    recv_conn, send_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_supervised_child,
-                        args=(send_conn, index, attempt, items[index]))
-                    proc.start()
-                    send_conn.close()
-                except OSError as exc:
-                    spawn_failures += 1
-                    pending.append((index, attempt))
-                    if spawn_failures >= _MAX_SPAWN_FAILURES:
-                        warnings.warn(
-                            f"worker pool unhealthy ({exc}); degrading to "
-                            f"the serial path for the remaining cells",
-                            stacklevel=2)
-                        degraded = True
-                        break
-                    time.sleep(0.05 * spawn_failures)
-                    continue
-                spawn_failures = 0
-                outcome.attempts += 1
-                append_event(manifest_root, "cell_attempt", run=run_id,
-                             index=index, label=labels[index],
-                             attempt=attempt, worker=proc.pid)
-                deadline = now + timeout if timeout > 0 else float("inf")
-                running[index] = _Task(index, attempt, proc, recv_conn,
-                                       deadline)
-            if degraded:
-                break
-            if not running:
-                # every pending attempt is in its backoff window
-                next_at = min(eligible_at.get(i, 0.0) for i, _ in pending)
-                time.sleep(max(0.0, min(next_at - time.monotonic(), 0.5)))
-                continue
-
-            # wait for results, worker deaths (pipe EOF), or a deadline
-            next_deadline = min(t.deadline for t in running.values())
-            wait_for = min(max(0.0, next_deadline - time.monotonic()), 0.5)
-            ready = _conn_wait([t.conn for t in running.values()],
-                               timeout=wait_for)
-            ready_set = set(ready)
-            for task in [t for t in running.values() if t.conn in ready_set]:
-                del running[task.index]
-                try:
-                    status, payload = task.conn.recv()
-                except (EOFError, OSError):
-                    # pipe closed with no message: the worker died abruptly
-                    _reap(task)
-                    code = task.proc.exitcode
-                    _finish_attempt(task, "crash",
-                                    f"worker died with exit code {code}")
-                    continue
-                _reap(task)
-                if status == "ok":
-                    outcome.results[task.index] = payload
-                    append_event(manifest_root, "cell_done", run=run_id,
-                                 index=task.index, label=labels[task.index],
-                                 attempt=task.attempt)
-                else:
-                    _finish_attempt(task, "exception", str(payload))
-            # enforce deadlines on whatever is still running
-            now = time.monotonic()
-            for task in [t for t in running.values() if t.deadline <= now]:
-                del running[task.index]
-                task.proc.terminate()
-                _reap(task)
-                _finish_attempt(
-                    task, "timeout",
-                    f"cell exceeded {timeout:.1f}s; worker killed")
-    finally:
-        _WORKER_FN = prev
-        for task in running.values():  # pragma: no cover - abnormal exit
-            task.proc.terminate()
-            task.conn.close()
-            task.proc.join(timeout=5.0)
-
-    if degraded:
-        outcome.mode = "degraded"
-        todo = sorted({index for index, _ in pending})
         return _serial_supervised(fn, items, outcome, todo, retries,
                                   backoff, labels, manifest_root, run_id)
     return outcome

@@ -1,14 +1,12 @@
-"""Long-lived fork-based worker pool (the persistent engine backend).
+"""Long-lived fork-based worker pool (the engine's only parallel backend).
 
-The legacy engine paid fork-and-teardown per ``parallel_map`` call and
-one fork *per attempt* in ``supervised_map`` — measurable setup cost on
-every call, and no reuse of anything a worker warmed up (plan caches,
-encoded graphs, profiled corpora).  This module keeps one pool of
-workers alive across calls:
+Every parallel ``parallel_map`` and ``supervised_map`` call runs on one
+pool of workers kept alive across calls, so no call pays fork and
+teardown, and whatever a worker warmed up (plan caches, encoded graphs,
+profiled corpora) is reused:
 
 * workers inherit the mapped callable and every live cache **once**,
-  copy-on-write at fork time (the same trick the legacy map used, made
-  durable);
+  copy-on-write at fork time;
 * tasks cross to workers as small pickled messages over per-worker
   duplex pipes; large numpy results come back through POSIX
   shared-memory segments instead of being pickled through the pipe
@@ -25,10 +23,8 @@ workers alive across calls:
   repeated searches over one hoisted task callable — none of these
   change and the same workers serve every call.
 
-``REPRO_POOL=off`` disables the persistent backend; the engine then
-runs its legacy one-pool-per-call / one-fork-per-attempt paths, which
-stay bit-identical (determinism never depends on worker identity or
-reuse).
+Results never depend on worker identity or reuse: a parallel map is
+bit-identical to the serial loop.
 """
 
 from __future__ import annotations
@@ -54,11 +50,6 @@ SHM_MIN_BYTES = 1 << 20
 
 #: the mapped callable, inherited by workers through the fork
 _POOL_FN: Callable[[Any], Any] | None = None
-
-
-def pool_enabled() -> bool:
-    """Persistent-pool gate (``REPRO_POOL=off`` restores legacy forking)."""
-    return os.environ.get("REPRO_POOL", "").lower() != "off"
 
 
 @dataclass
@@ -167,10 +158,10 @@ def _pool_worker(conn) -> None:
     """Worker loop: serve tasks until told to stop (or killed).
 
     The callable arrives by fork inheritance (:data:`_POOL_FN`).  Fault
-    sites fire per (index, attempt) exactly as the legacy per-attempt
-    fork did, so chaos plans reproduce identically; ``worker_crash``
-    kills this process outright and the parent's EOF detection takes
-    over.  Task exceptions are reported and the worker lives on.
+    sites fire per (index, attempt), as in the serial loop, so chaos
+    plans reproduce identically; ``worker_crash`` kills this process
+    outright and the parent's EOF detection takes over.  Task exceptions
+    are reported and the worker lives on.
     """
     from . import engine
 

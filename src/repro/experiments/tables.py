@@ -9,7 +9,6 @@ fraction, kind, seed).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +61,6 @@ def run_cell(
         return CellResult(scenario.key, fraction, kind,
                           v["mre"], v["epochs"], v["seconds"],
                           v.get("diverged", False), v.get("retrained", False))
-    if os.environ.get("REPRO_ONLY_CACHED"):
-        # partial-render mode: report the cell as missing rather than
-        # spending minutes training it inside a reporting pass
-        return CellResult(scenario.key, fraction, kind, float("nan"), 0, 0.0)
 
     samples = stage_corpus(family, scenario, profile)
     split = split_dataset(samples, fraction, 0.1, seed)

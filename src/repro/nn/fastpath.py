@@ -1,4 +1,4 @@
-"""Engine fast-path toggle (``REPRO_NN_FAST``).
+"""Engine fast-path toggle.
 
 The autograd engine has two execution strategies that are differentially
 tested to be *bit-identical* (same float ops in the same order, value-equal
@@ -14,18 +14,13 @@ gradients and weights):
   the oracle for the differential tests and as the baseline side of
   ``benchmarks/bench_train.py``.
 
-``REPRO_NN_FAST=off`` selects the reference strategy for a whole process;
-:func:`set_fast` flips it at runtime (tests, A/B benchmarking).  This is a
-debugging / benchmarking escape hatch, not a results knob — both paths
-produce identical numbers.
+Every process starts on the fast strategy; :func:`set_fast` selects the
+reference one at runtime.  Both produce identical numbers.
 """
 
 from __future__ import annotations
 
-import os
-
-_FAST: bool = os.environ.get("REPRO_NN_FAST", "").strip().lower() not in (
-    "off", "0", "false", "no")
+_FAST: bool = True
 
 
 def enabled() -> bool:

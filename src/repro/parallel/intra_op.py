@@ -24,22 +24,26 @@ the pipeline already in the sharding the first consumer wants.
 
 Two implementations coexist:
 
-* :func:`optimize_stage` — the production path.  Shardings are interned
-  integer ids, kernel times come from the memoized ``op_time_cached``,
-  reshard costs from per-mesh :class:`~.resharding.ReshardCache` tables,
-  and both DP passes run as numpy min-plus algebra
-  (``np.min(share * ptable[:, None] + R, axis=0)`` forward, vectorized
-  argmin in reverse).
+* :func:`optimize_stage` — the one the program runs.  Shardings are
+  interned integer ids, kernel times come from the memoized
+  ``op_time_cached``, reshard costs from per-mesh
+  :class:`~.resharding.ReshardCache` tables, and both DP passes run as
+  numpy min-plus algebra (``np.min(share * ptable[:, None] + R, axis=0)``
+  forward, vectorized argmin in reverse).  Nodes are indexed by their
+  context signature (``ir.structure``), and the forward vector of a
+  signature already solved on a mesh is reused instead of recomputed —
+  the CFP collapse of structurally identical subproblems, across twin
+  branches of one graph and shared prefixes of different graphs.
 * :func:`optimize_stage_reference` — the original pure-Python dict-scan
   formulation, kept as the differential-testing oracle.  The vectorized
   path must produce **bit-identical** committed shardings, table costs,
   and DP estimates (every float op is replayed in the same order; min and
-  argmin are exact), which ``tests/test_intraop_vectorized.py`` enforces.
+  argmin are exact), which ``tests/test_intraop_vectorized.py`` and
+  ``tests/test_dp_collapse.py`` enforce.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 
@@ -186,7 +190,7 @@ _COLLAPSE_STATS = CollapseStats()
 _COLLAPSE_MEMO: dict[LogicalMesh, dict[int, tuple[np.ndarray, np.ndarray]]] \
     = {}
 
-#: mesh -> {context signature -> _NodeTable} — the collapse path's table
+#: mesh -> {context signature -> _NodeTable} — the prepare pass's table
 #: index.  A signature pins ``node_cost_key`` (see ``ir.structure``), so
 #: it determines the strategy table; indexing by signature lets a hit
 #: node skip the cost-key build and slot-op assembly entirely at prepare
@@ -201,10 +205,6 @@ _GRAPH_SIGS: "weakref.WeakKeyDictionary[Graph, tuple[int, list[int]]]" = \
 
 def collapse_stats() -> CollapseStats:
     return _COLLAPSE_STATS
-
-
-def _collapse_enabled() -> bool:
-    return os.environ.get("REPRO_DP_COLLAPSE", "").lower() != "off"
 
 
 def _collapse_memo(mesh: LogicalMesh) -> dict:
@@ -316,8 +316,8 @@ def _slot_ops_for(graph: Graph, node, table: _NodeTable, node_tab,
                   rcache) -> tuple:
     """The per-edge forward contractions of one node: (producer id,
     amortization share, reshard matrix, required-spec mapping).  Shared
-    by both prepare paths and the lazy completion in ``optimize_stage``
-    so the three produce identical tuples."""
+    by ``_prepare`` and the lazy completion in ``optimize_stage`` so the
+    two produce identical tuples."""
     slot_ops = []
     for slot, (cols, req_of, has) in enumerate(table.slots):
         pid = node.inputs[slot]
@@ -335,61 +335,42 @@ def _prepare(graph: Graph, mesh: LogicalMesh) -> _SolvePlan:
     rcache = reshard_cache(mesh)
     node_tab: list[_NodeTable] = [None] * n  # type: ignore
 
+    # Tables are indexed by context signature.  Equal signatures imply
+    # equal ``node_cost_key`` (ir.structure), which determines the
+    # strategy table — so a previously seen signature skips the cost-key
+    # build, the table construction AND the slot-op assembly; its forward
+    # vector comes from the memo at solve time (``slot_ops is None``
+    # marks that expectation, with a lazy rebuild in ``optimize_stage``
+    # as the fallback).
     fwd: list = []
-    if _collapse_enabled():
-        # CFP collapse path: tables indexed by context signature.  Equal
-        # signatures imply equal ``node_cost_key`` (ir.structure), which
-        # determines the strategy table — so a previously seen signature
-        # skips the cost-key build, the table construction AND the
-        # slot-op assembly; its forward vector comes from the memo at
-        # solve time (``slot_ops is None`` marks that expectation, with
-        # a lazy rebuild in ``optimize_stage`` as the fallback).
-        sigs = _graph_sigs(graph)
-        sig_tables = _sig_tables(mesh)
-        tables = _mesh_tables(mesh)
-        for node in graph.nodes:
-            table = sig_tables.get(sigs[node.id])
-            if table is not None:
-                node_tab[node.id] = table
-                fwd.append((table, None))
-                continue
-            # sig miss: go through the coarser structure-keyed cache so
-            # tables stay shared across contexts (a fresh context over a
-            # known structure must not rebuild the strategy enumeration)
-            if node.node_type == "output":
-                key = ("out", node_tab[node.inputs[0]].out_ids)
-            elif node.node_type == "operator":
-                key = ("op", node_cost_key(
-                    node, [graph.nodes[i].out for i in node.inputs]))
-            else:
-                key = ("leaf", node.out.shape)
-            table = tables.get(key)
-            if table is None:
-                table = (_output_table(key[1]) if node.node_type == "output"
-                         else _build_table(graph, node, mesh))
-                tables[key] = table
-            sig_tables[sigs[node.id]] = table
+    sigs = _graph_sigs(graph)
+    sig_tables = _sig_tables(mesh)
+    tables = _mesh_tables(mesh)
+    for node in graph.nodes:
+        table = sig_tables.get(sigs[node.id])
+        if table is not None:
             node_tab[node.id] = table
-            fwd.append((table, _slot_ops_for(graph, node, table, node_tab,
-                                             rcache)))
-    else:
-        tables = _mesh_tables(mesh)
-        for node in graph.nodes:
-            if node.node_type == "output":
-                key = ("out", node_tab[node.inputs[0]].out_ids)
-            elif node.node_type == "operator":
-                key = ("op", node_cost_key(
-                    node, [graph.nodes[i].out for i in node.inputs]))
-            else:
-                key = ("leaf", node.out.shape)
-            table = tables.get(key)
-            if table is None:
-                table = (_output_table(key[1]) if node.node_type == "output"
-                         else _build_table(graph, node, mesh))
-                tables[key] = table
-            node_tab[node.id] = table
-            fwd.append((table, _slot_ops_for(graph, node, table, node_tab,
-                                             rcache)))
+            fwd.append((table, None))
+            continue
+        # sig miss: go through the coarser structure-keyed cache so tables
+        # stay shared across contexts (a fresh context over a known
+        # structure must not rebuild the strategy enumeration)
+        if node.node_type == "output":
+            key = ("out", node_tab[node.inputs[0]].out_ids)
+        elif node.node_type == "operator":
+            key = ("op", node_cost_key(
+                node, [graph.nodes[i].out for i in node.inputs]))
+        else:
+            key = ("leaf", node.out.shape)
+        table = tables.get(key)
+        if table is None:
+            table = (_output_table(key[1]) if node.node_type == "output"
+                     else _build_table(graph, node, mesh))
+            tables[key] = table
+        sig_tables[sigs[node.id]] = table
+        node_tab[node.id] = table
+        fwd.append((table, _slot_ops_for(graph, node, table, node_tab,
+                                         rcache)))
 
     rev = []
     for node in reversed(graph.nodes):
@@ -428,14 +409,14 @@ def optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
     an explicit replicated fallback), so the reference implementation's
     per-strategy feasibility bookkeeping is vacuous and elided here.
 
-    With the CFP collapse memo on (default; ``REPRO_DP_COLLAPSE=off``
-    disables), nodes whose context signature was already solved on this
-    mesh — twin branches in this graph, or shared prefixes of previously
-    solved graphs — reuse their forward vectors instead of recomputing
-    them.  Lossless by construction: a signature pins the strategy table,
-    reshard matrices, amortization shares and producer vectors, so the
-    memoized arrays are the ones this sweep would produce bit-for-bit
-    (``tests/test_dp_collapse.py`` enforces it differentially).
+    Through the CFP collapse memo, nodes whose context signature was
+    already solved on this mesh — twin branches in this graph, or shared
+    prefixes of previously solved graphs — reuse their forward vectors
+    instead of recomputing them.  Lossless by construction: a signature
+    pins the strategy table, reshard matrices, amortization shares and
+    producer vectors, so the memoized arrays are the ones this sweep
+    would produce bit-for-bit (``tests/test_dp_collapse.py`` enforces it
+    differentially).
     """
     plan = _solve_plan(graph, mesh)
     rcache = reshard_cache(mesh)
@@ -444,22 +425,21 @@ def optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
     #: min forward cost per distinct out spec (the by-spec table)
     group_cost: list[np.ndarray] = [None] * n  # type: ignore
 
-    collapse = _collapse_enabled()
-    if collapse:
-        memo = _collapse_memo(mesh)
-        sigs = _graph_sigs(graph)
-        stats = _COLLAPSE_STATS
+    memo = _collapse_memo(mesh)
+    sigs = _graph_sigs(graph)
+    stats = _COLLAPSE_STATS
 
     for nid, (table, slot_ops) in enumerate(plan.fwd):
-        if collapse:
-            hit = memo.get(sigs[nid])
-            if hit is not None:
-                cost_tab[nid], group_cost[nid] = hit
-                stats.hits += 1
-                continue
+        hit = memo.get(sigs[nid])
+        if hit is not None:
+            cost_tab[nid], group_cost[nid] = hit
+            stats.hits += 1
+            continue
         if slot_ops is None:
-            # prepared as a collapse hit but solved without one (the gate
-            # flipped, or the memo was never filled): complete the entry
+            # prepared as a collapse hit but the memo holds no vector for
+            # it: another graph's prepare registered the signature and no
+            # solve has filled it yet (concurrent solves through the plan
+            # cache can interleave this way), so complete the entry
             slot_ops = _slot_ops_for(
                 graph, graph.nodes[nid], table, _PlanTables(plan.fwd),
                 rcache)
@@ -481,11 +461,10 @@ def optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
             gc = np.full(len(table.out_ids), np.inf)
             np.minimum.at(gc, table.out_col, costs)
             group_cost[nid] = gc
-        if collapse:
-            costs.flags.writeable = False
-            group_cost[nid].flags.writeable = False
-            memo[sigs[nid]] = (costs, group_cost[nid])
-            stats.misses += 1
+        costs.flags.writeable = False
+        group_cost[nid].flags.writeable = False
+        memo[sigs[nid]] = (costs, group_cost[nid])
+        stats.misses += 1
 
     # ---- reverse resolution ------------------------------------------------
     assignments: list[NodeAssignment | None] = [None] * n

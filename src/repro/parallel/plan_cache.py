@@ -17,30 +17,19 @@ rebound to the caller's graph object, so downstream consumers (the
 executor, whose measurement noise is keyed on the *name* of the graph)
 see exactly the plan the DP would have produced for that graph.
 
-Disable with ``REPRO_PLAN_CACHE=off``.  ``REPRO_INTRAOP=reference``
-routes every solve through the pure-Python oracle implementation instead
-of the vectorized DP (the two are differentially tested to be
-bit-identical, so this is a debugging escape hatch, not a results knob).
+A miss runs :func:`~.intra_op.optimize_stage`; tests pin it against the
+pure-Python oracle :func:`~.intra_op.optimize_stage_reference`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
 from ..cluster.mesh import LogicalMesh
 from ..ir.graph import Graph
 from ..ir.serialize import canonical_hash
-from .intra_op import (IntraOpPlan, NodeAssignment, optimize_stage,
-                       optimize_stage_reference)
-
-
-def _optimize_impl():
-    """The intra-op solver selected by ``REPRO_INTRAOP``."""
-    if os.environ.get("REPRO_INTRAOP", "").lower() in ("reference", "ref"):
-        return optimize_stage_reference
-    return optimize_stage
+from .intra_op import IntraOpPlan, NodeAssignment, optimize_stage
 
 
 @dataclass
@@ -80,7 +69,7 @@ class PlanCache:
                 assignments, estimated = hit
                 return IntraOpPlan(graph, mesh, list(assignments), estimated)
             self.stats.misses += 1
-        plan = _optimize_impl()(graph, mesh)
+        plan = optimize_stage(graph, mesh)
         with self._lock:
             self._entries.setdefault(
                 key, (list(plan.assignments), plan.estimated_time))
@@ -107,7 +96,5 @@ def global_plan_cache() -> PlanCache:
 
 
 def cached_optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
-    """`optimize_stage` through the global plan cache (env-gated)."""
-    if os.environ.get("REPRO_PLAN_CACHE", "").lower() == "off":
-        return _optimize_impl()(graph, mesh)
+    """`optimize_stage` through the global plan cache."""
     return global_plan_cache().optimize(graph, mesh)

@@ -6,7 +6,7 @@ crossed with the profile's microbatch sweep — i.e. the per-search-cell
 population one ``search_predtop`` submesh trains and predicts on.  Each
 optimization site is timed in isolation and in composition, always
 against the *seed* configuration of the same code
-(``fastpath.set_fast(False)`` + ``REPRO_ENCODING_CACHE=off`` + serial
+(``fastpath.set_fast(False)`` + fresh per-call graph encodings + serial
 ensemble + per-member inference with a per-graph OOD loop):
 
 * ``encoding``     — shared encoding cache (warm) vs fresh re-encoding;
@@ -20,9 +20,6 @@ ensemble + per-member inference with a per-graph OOD loop):
   ``ood_score`` loop;
 * ``ensemble_fit`` — K member fits fanned across the engine's worker
   pool vs the serial loop (1× by construction on a single core);
-* ``dp_collapse``  — cold intra-op DP solves over the corpus (plan
-  cache off) with the CFP collapse memo on vs ``REPRO_DP_COLLAPSE=off``,
-  always at jobs=1 — the collapse-alone speedup the ISSUE gates on;
 * ``end_to_end``   — the full per-cell pipeline (K-member ensemble fit +
   guarded batched prediction over the corpus);
 * ``search``       — ``PlanSearcher.search_predtop`` wall time with the
@@ -36,8 +33,6 @@ predictions must be **bit-identical** between the fast and seed modes
 
 from __future__ import annotations
 
-import gc
-import os
 import statistics
 import time
 from contextlib import contextmanager
@@ -53,7 +48,8 @@ from ..models.model import build_model as build_bench_model
 from ..nn import fastpath
 from ..predictors.base import LatencyPredictor
 from ..predictors.dataset import StageSample, make_batches
-from ..predictors.encoding_cache import global_encoding_cache
+from ..predictors.encoding_cache import (EncodingCache, compute_encoding,
+                                         global_encoding_cache)
 from ..predictors.trainer import TrainConfig
 from ..predictors.trust import EnsemblePredictor, TrustConfig
 from ..runtime.profiler import StageProfiler
@@ -76,21 +72,19 @@ def seed_mode():
 
     Reference autograd engine + per-forward mask builds
     (``fastpath.set_fast(False)``) and fresh per-call graph encodings
-    (``REPRO_ENCODING_CACHE=off``, global cache dropped).  Restores the
-    previous configuration on exit; the fast side re-warms its cache.
+    (every cache lookup swapped for :func:`compute_encoding`, global
+    cache dropped).  Restores the previous configuration on exit; the
+    fast side re-warms its cache.
     """
     prev_fast = fastpath.set_fast(False)
-    prev_env = os.environ.get("REPRO_ENCODING_CACHE")
-    os.environ["REPRO_ENCODING_CACHE"] = "off"
+    orig_get = EncodingCache.get
+    EncodingCache.get = lambda self, graph: compute_encoding(graph)
     global_encoding_cache().clear()
     try:
         yield
     finally:
         fastpath.set_fast(prev_fast)
-        if prev_env is None:
-            del os.environ["REPRO_ENCODING_CACHE"]
-        else:
-            os.environ["REPRO_ENCODING_CACHE"] = prev_env
+        EncodingCache.get = orig_get
 
 
 def seed_predict_many(ensemble: EnsemblePredictor, graphs
@@ -239,57 +233,6 @@ def run_train_microbench(profile: ExperimentProfile | None = None,
     identical &= masks_identical
     sites["masks"] = _site(t_fast, t_seed, identical=masks_identical)
 
-    # ---------------------------------------------- site: CFP DP collapse
-    # cold intra-op solves of the whole corpus on both logical views of
-    # the 2-GPU mesh, all caches cleared before every pass so each solve
-    # actually runs; "fast" = collapse memo on (default), "seed" =
-    # ``REPRO_DP_COLLAPSE=off``.  Both sides are jobs=1 by construction —
-    # this site isolates the collapse pass from worker-pool scale-out.
-    # GC is paused around the A/B: the memo's long-lived small arrays
-    # otherwise trigger collection pauses that dominate the ~50ms passes.
-    from ..cluster.mesh import logical_views
-    from ..parallel import intra_op
-
-    views = logical_views(PLATFORM2.mesh(2))
-
-    def solve_corpus():
-        intra_op.clear_table_caches()
-        out = []
-        for g in graphs:
-            for v in views:
-                p = intra_op.optimize_stage(g, v)
-                out.append((p.estimated_time,
-                            tuple(a.strategy.name for a in p.assignments)))
-        return out
-
-    prev_gate = os.environ.pop("REPRO_DP_COLLAPSE", None)
-    gc_was = gc.isenabled()
-    gc.disable()
-    try:
-        t_fast, plans_f = _median(solve_corpus, max(3, repeats))
-        # snapshot now: the seed passes clear the (live) stats object
-        cstats = intra_op.collapse_stats()
-        memo_hits, memo_misses = cstats.hits, cstats.misses
-        hit_rate = memo_hits / max(1, memo_hits + memo_misses)
-        os.environ["REPRO_DP_COLLAPSE"] = "off"
-        t_seed, plans_s = _median(solve_corpus, max(3, repeats))
-    finally:
-        if prev_gate is None:
-            os.environ.pop("REPRO_DP_COLLAPSE", None)
-        else:
-            os.environ["REPRO_DP_COLLAPSE"] = prev_gate
-        if gc_was:
-            gc.enable()
-        intra_op.clear_table_caches()
-    collapse_identical = plans_f == plans_s
-    identical &= collapse_identical
-    sites["dp_collapse"] = _site(t_fast, t_seed,
-                                 identical=collapse_identical,
-                                 n_solves=len(plans_f),
-                                 hit_rate=hit_rate,
-                                 memo_hits=memo_hits,
-                                 memo_misses=memo_misses)
-
     # ------------------------------------------------ composite: ensemble
     def ensemble_fit(fit_jobs: int | None):
         samples = fresh_samples()
@@ -393,6 +336,5 @@ def run_train_microbench(profile: ExperimentProfile | None = None,
             "headline_search_speedup": sites["search"]["speedup"],
             "pipeline_speedup": sites["end_to_end"]["speedup"],
             "training_speedup": sites["training"]["speedup"],
-            "dp_collapse_speedup": sites["dp_collapse"]["speedup"],
         },
     }

@@ -12,14 +12,14 @@ depend on node *names*, only on ops/topology/shapes/params.
 
 Cached arrays are frozen (``writeable=False``) and shared by reference
 between all samples whose graphs are structurally identical; consumers
-(batch construction, normalizers) only ever read them.  Disable with
-``REPRO_ENCODING_CACHE=off`` — the fresh path computes the exact same
-arrays with the exact same calls, so the cache is bit-transparent.
+(batch construction, normalizers) only ever read them.  A miss runs
+:func:`compute_encoding`, the same calls a fresh encoding makes, so the
+cache is bit-transparent; tests pin cached consumers against fresh
+encodings.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -125,7 +125,5 @@ def global_encoding_cache() -> EncodingCache:
 
 
 def cached_encoding(graph: Graph) -> GraphEncoding:
-    """Encoding through the global cache (``REPRO_ENCODING_CACHE=off`` gates)."""
-    if os.environ.get("REPRO_ENCODING_CACHE", "").lower() == "off":
-        return compute_encoding(graph)
+    """Encoding through the global cache."""
     return global_encoding_cache().get(graph)

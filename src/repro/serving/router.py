@@ -287,6 +287,9 @@ class ReproRouter:
             t.start()
 
     def _connection_loop(self, conn: socket.socket) -> None:
+        # replies leave as soon as they are written (Nagle off; see
+        # ReproServer._connection_loop)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(0.25)
         buf = b""
         last_byte = time.monotonic()

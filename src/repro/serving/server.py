@@ -341,6 +341,12 @@ class ReproServer:
 
     # ------------------------------------------------------- connection loop
     def _connection_loop(self, conn: socket.socket) -> None:
+        # replies leave as soon as they are written.  Under Nagle, a reply
+        # written while the previous one is unacknowledged waits for that
+        # ACK, which a delayed-ACK client sends only with its next request:
+        # one late reply locks an open-loop client into every reply coming
+        # a full request interval late.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(0.25)
         buf = b""
         last_byte = time.monotonic()

@@ -1,6 +1,7 @@
 """Cluster substrate: GPUs, links, meshes, collectives, platforms."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +149,8 @@ class TestMesh:
     def test_key_stable_and_distinct(self, mesh2, mesh3):
         assert mesh2.key() != mesh3.key()
         assert mesh2.key() == mesh2.key()
+        # meshes come back pickled from pool workers: same key after the trip
+        assert pickle.loads(pickle.dumps(mesh3)).key() == mesh3.key()
 
 
 class TestPlatforms:

@@ -1,17 +1,15 @@
-"""Differential tests: CFP-collapsed intra-op DP ≡ uncollapsed solver.
+"""Differential tests: CFP-collapsed intra-op DP ≡ the reference DP.
 
-The collapse memo (``REPRO_DP_COLLAPSE``, on by default) must be
-**lossless**: identical committed strategies, identical float costs (no
-tolerance), identical executor profiles — on every family's training
-graphs, every mesh, and regardless of what was solved before (memo
-entries created by *other* graphs must reproduce exactly what a fresh
-solve would compute).
+``optimize_stage`` reuses the forward vector of every context signature
+it has already solved on a mesh (the collapse memo).  The reuse must be
+**lossless**: against :func:`optimize_stage_reference`, identical
+committed strategies, identical float costs (no tolerance), identical
+executor profiles — on every family's training graphs, every mesh, and
+regardless of what was solved before (memo entries created by *other*
+graphs must reproduce exactly what a fresh solve would compute).
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,41 +20,15 @@ from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.cluster.mesh import logical_views
 from repro.ir.autodiff import build_training_graph
 from repro.models import benchmark_config, build_model
+from repro.parallel import intra_op
 from repro.parallel.intra_op import (clear_table_caches, collapse_stats,
                                      optimize_stage)
-from repro.runtime.executor import execute_plan
 from repro.runtime.profiler import StageProfiler
 
 from .test_intra_op_properties import MESHES, random_graph
-from .test_intraop_vectorized import strategy_key
+from .test_intraop_vectorized import assert_identical
 
 FAMILIES = ("gpt", "moe", "bert", "vit")
-
-
-@contextmanager
-def collapse(enabled: bool):
-    prior = os.environ.get("REPRO_DP_COLLAPSE")
-    os.environ["REPRO_DP_COLLAPSE"] = "" if enabled else "off"
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_DP_COLLAPSE", None)
-        else:
-            os.environ["REPRO_DP_COLLAPSE"] = prior
-
-
-def assert_collapse_identical(graph, mesh):
-    with collapse(True):
-        fast = optimize_stage(graph, mesh)
-    with collapse(False):
-        base = optimize_stage(graph, mesh)
-    assert fast.estimated_time == base.estimated_time  # bitwise
-    for nid in range(len(graph)):
-        assert strategy_key(fast.assignments[nid]) == \
-            strategy_key(base.assignments[nid]), f"node {nid} diverged"
-    assert execute_plan(fast) == execute_plan(base)
-    return fast
 
 
 class TestDifferential:
@@ -67,7 +39,7 @@ class TestDifferential:
         rng = np.random.default_rng(seed)
         graph = random_graph(rng, f"collapse{seed}")
         for logical in logical_views(MESHES[mesh_idx]):
-            assert_collapse_identical(graph, logical)
+            assert_identical(graph, logical)
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=10, deadline=None)
@@ -76,7 +48,7 @@ class TestDifferential:
         graph = build_training_graph(random_graph(rng, f"coltrain{seed}"))
         mesh = MESHES[int(rng.integers(0, len(MESHES)))]
         for logical in logical_views(mesh):
-            assert_collapse_identical(graph, logical)
+            assert_identical(graph, logical)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_benchmark_families(self, family):
@@ -89,71 +61,68 @@ class TestDifferential:
             tg = profiler.training_graph(start, end)
             for mesh in meshes:
                 for logical in logical_views(mesh):
-                    assert_collapse_identical(tg, logical)
+                    assert_identical(tg, logical)
 
     def test_cross_graph_memo_entries_are_lossless(self, tiny_gpt_profiler):
         """Solving slice [0, 2) first seeds the memo with every prefix
         signature; the subsequent [0, 1) solve — nearly all memo hits —
-        must equal a fresh solve on cleared caches."""
+        must equal the reference."""
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
         big = tiny_gpt_profiler.training_graph(0, 2)
         small = tiny_gpt_profiler.training_graph(0, 1)
-        with collapse(True):
-            clear_table_caches()
-            optimize_stage(big, mesh)  # seed the memo
-            before = collapse_stats().hits
-            warm = optimize_stage(small, mesh)
-            assert collapse_stats().hits > before  # prefixes shared
-            clear_table_caches()
-            cold = optimize_stage(small, mesh)
-        assert warm.estimated_time == cold.estimated_time
-        for a, b in zip(warm.assignments, cold.assignments):
-            assert strategy_key(a) == strategy_key(b)
+        clear_table_caches()
+        optimize_stage(big, mesh)  # seed the memo
+        before = collapse_stats().hits
+        assert_identical(small, mesh)
+        assert collapse_stats().hits > before  # prefixes shared
+
+    def test_prepared_but_unsolved_signatures_complete_lazily(
+            self, tiny_gpt_profiler):
+        """Preparing [0, 2) registers its signatures without filling the
+        memo — what a concurrent solve's prepare leaves behind — so the
+        [0, 1) solve finds prepared entries with no memoized vector and
+        must build their forward contractions itself."""
+        mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
+        big = tiny_gpt_profiler.training_graph(0, 2)
+        small = tiny_gpt_profiler.training_graph(0, 1)
+        clear_table_caches()
+        intra_op._solve_plan(big, mesh)
+        plan = intra_op._solve_plan(small, mesh)
+        pending = sum(ops is None for _, ops in plan.fwd)
+        assert pending > 0
+        assert_identical(small, mesh)
+        assert sum(ops is None for _, ops in plan.fwd) < pending
 
 
 class TestGateAndStats:
-    def test_off_gate_skips_the_memo(self, tiny_gpt_profiler):
-        mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(2, 1)
-        tg = tiny_gpt_profiler.training_graph(0, 1)
-        clear_table_caches()
-        with collapse(False):
-            optimize_stage(tg, mesh)
-        stats = collapse_stats()
-        assert stats.hits == 0 and stats.misses == 0
-
     def test_repeat_solve_is_all_hits(self, tiny_gpt_profiler):
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(2, 1)
         tg = tiny_gpt_profiler.training_graph(0, 2)
-        with collapse(True):
-            clear_table_caches()
-            optimize_stage(tg, mesh)
-            misses = collapse_stats().misses
-            assert misses > 0
-            optimize_stage(tg, mesh)
-            assert collapse_stats().misses == misses  # no new work
-            assert collapse_stats().hits >= len(tg)
+        clear_table_caches()
+        optimize_stage(tg, mesh)
+        misses = collapse_stats().misses
+        assert misses > 0
+        optimize_stage(tg, mesh)
+        assert collapse_stats().misses == misses  # no new work
+        assert collapse_stats().hits >= len(tg)
 
     def test_twin_branches_hit_within_one_graph(self, tiny_gpt_profiler):
         """Q/K/V twins make the very first solve of a transformer block
         produce memo hits — the intra-graph CSE the detector promises."""
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
         tg = tiny_gpt_profiler.training_graph(1, 2)  # one transformer block
-        with collapse(True):
-            clear_table_caches()
-            optimize_stage(tg, mesh)
-            assert collapse_stats().hits > 0
+        clear_table_caches()
+        optimize_stage(tg, mesh)
+        assert collapse_stats().hits > 0
 
     def test_memoized_vectors_are_immutable(self, tiny_gpt_profiler):
         """Memo entries are shared across solves — they must be frozen."""
-        from repro.parallel import intra_op
-
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
         tg = tiny_gpt_profiler.training_graph(0, 1)
-        with collapse(True):
-            clear_table_caches()
-            optimize_stage(tg, mesh)
-            memo = intra_op._COLLAPSE_MEMO[mesh]
-            assert memo
-            for costs, grouped in memo.values():
-                assert not costs.flags.writeable
-                assert not grouped.flags.writeable
+        clear_table_caches()
+        optimize_stage(tg, mesh)
+        memo = intra_op._COLLAPSE_MEMO[mesh]
+        assert memo
+        for costs, grouped in memo.values():
+            assert not costs.flags.writeable
+            assert not grouped.flags.writeable

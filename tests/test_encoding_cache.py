@@ -7,12 +7,7 @@ import pytest
 
 from repro.ir import GraphBuilder
 from repro.ir.serialize import canonical_hash
-from repro.predictors.encoding_cache import (
-    EncodingCache,
-    cached_encoding,
-    compute_encoding,
-    global_encoding_cache,
-)
+from repro.predictors.encoding_cache import EncodingCache, compute_encoding
 
 
 def _chain(name: str, suffix: str = ""):
@@ -62,17 +57,6 @@ class TestEncodingCache:
                   enc.adj, enc.adj_csr.data):
             with pytest.raises(ValueError):
                 a[...] = 0
-
-    def test_env_gate_bypasses_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODING_CACHE", "off")
-        cache = global_encoding_cache()
-        cache.clear()
-        g = _chain("a")
-        e1 = cached_encoding(g)
-        e2 = cached_encoding(g)
-        assert e1 is not e2  # fresh bundle per call, nothing memoized
-        assert len(cache) == 0
-        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
 
     def test_clear_resets_entries_and_stats(self):
         cache = EncodingCache()

@@ -10,7 +10,6 @@ import time
 import pytest
 
 import repro.experiments.cache as cache_mod
-import repro.experiments.engine as engine
 from repro import faults
 from repro.experiments import SMOKE, manifest
 from repro.experiments.cache import ResultsCache
@@ -120,7 +119,7 @@ class TestSupervisedMapMechanics:
             def Process(self, *a, **k):  # pragma: no cover
                 raise OSError("no")
 
-        monkeypatch.setattr(engine.multiprocessing, "get_context",
+        monkeypatch.setattr(multiprocessing, "get_context",
                             lambda kind: BrokenContext())
         with pytest.warns(UserWarning, match="unhealthy"):
             out = supervised_map(_double, [0, 1, 2], jobs=2, retries=0)
@@ -131,10 +130,10 @@ class TestSupervisedMapMechanics:
 class TestParallelMapDegradation:
     def test_pool_creation_failure_falls_back_serially(self, monkeypatch):
         class BrokenContext:
-            def Pool(self, *a, **k):
+            def Pipe(self, duplex=True):
                 raise OSError("Resource temporarily unavailable")
 
-        monkeypatch.setattr(engine.multiprocessing, "get_context",
+        monkeypatch.setattr(multiprocessing, "get_context",
                             lambda kind: BrokenContext())
         with pytest.warns(UserWarning, match="serially"):
             assert parallel_map(_double, [1, 2, 3], jobs=4) == [2, 4, 6]

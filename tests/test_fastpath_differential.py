@@ -15,11 +15,13 @@ import pytest
 
 from repro.nn import fastpath
 from repro.predictors import (
+    EncodingCache,
     EnsemblePredictor,
     LatencyPredictor,
     StageSample,
     TrainConfig,
 )
+from repro.predictors.encoding_cache import compute_encoding
 
 CFG = TrainConfig(epochs=5, patience=5, batch_size=4, lr=2e-3, seed=0)
 
@@ -70,7 +72,8 @@ class TestEngineDifferential:
 
     def test_encoding_cache_bit_transparent(self, tiny_corpus, monkeypatch):
         fast_p, fast_r = _fit(tiny_corpus)
-        monkeypatch.setenv("REPRO_ENCODING_CACHE", "off")
+        monkeypatch.setattr(EncodingCache, "get",
+                            lambda self, graph: compute_encoding(graph))
         off_p, off_r = _fit(tiny_corpus)
         assert fast_r.train_loss == off_r.train_loss
         _assert_state_equal(fast_p.model.state_dict(), off_p.model.state_dict())

@@ -92,13 +92,3 @@ class TestDifferential:
             assert other.estimated_time == first.estimated_time
             for a, b in zip(first.assignments, other.assignments):
                 assert strategy_key(a) == strategy_key(b)
-
-
-class TestReferenceGate:
-    def test_env_routes_to_reference(self, tiny_gpt_profiler, monkeypatch):
-        from repro.parallel import plan_cache
-
-        monkeypatch.setenv("REPRO_INTRAOP", "reference")
-        assert plan_cache._optimize_impl() is optimize_stage_reference
-        monkeypatch.delenv("REPRO_INTRAOP")
-        assert plan_cache._optimize_impl() is optimize_stage

@@ -86,12 +86,6 @@ class TestReuse:
         assert seen == [1, 2, 3]
         assert pool_mod.pool_stats().pools_started == 0
 
-    def test_off_gate_uses_legacy_forking(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "off")
-        assert parallel_map(_double, list(range(6)), jobs=2) == \
-            [2 * x for x in range(6)]
-        assert pool_mod.pool_stats().pools_started == 0
-
 
 class TestSharedMemoryTransport:
     def test_large_arrays_ride_shared_memory(self):

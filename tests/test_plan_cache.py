@@ -8,11 +8,7 @@ from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.ir import GraphBuilder
 from repro.ir.serialize import canonical_graph_dict, canonical_hash
 from repro.parallel.intra_op import optimize_stage
-from repro.parallel.plan_cache import (
-    PlanCache,
-    cached_optimize_stage,
-    global_plan_cache,
-)
+from repro.parallel.plan_cache import PlanCache
 from repro.runtime.executor import execute_plan
 
 
@@ -91,16 +87,6 @@ class TestPlanCache:
         cache.optimize(_mlp("a"), mesh)
         cache.clear()
         assert len(cache) == 0 and cache.stats.misses == 0
-
-    def test_env_gate_bypasses_cache(self, mesh, monkeypatch):
-        import repro.parallel.plan_cache as pc
-        monkeypatch.setattr(pc, "_GLOBAL", None)
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
-        cached_optimize_stage(_mlp("a"), mesh)
-        assert len(global_plan_cache()) == 0
-        monkeypatch.delenv("REPRO_PLAN_CACHE")
-        cached_optimize_stage(_mlp("a"), mesh)
-        assert len(global_plan_cache()) == 1
 
     def test_twin_slices_of_real_model_share_one_solve(
             self, tiny_gpt_profiler, mesh2):

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictors import (
+    EncodingCache,
     Normalizer,
     StageSample,
     make_batches,
     split_dataset,
 )
+from repro.predictors.encoding_cache import compute_encoding
 
 
 class TestEncoding:
@@ -195,7 +197,7 @@ class TestBatchInvariants:
     def test_cached_and_fresh_batches_identical(self, tiny_corpus,
                                                 monkeypatch):
         """Batches built through the shared encoding cache must equal the
-        cache-off construction bit-for-bit, array by array."""
+        construction from fresh encodings bit-for-bit, array by array."""
         def build():
             samples = [StageSample(s.graph, s.latency, s.stage_id)
                        for s in tiny_corpus]
@@ -203,7 +205,8 @@ class TestBatchInvariants:
             return make_batches(samples, norm, 4)
 
         cached = build()
-        monkeypatch.setenv("REPRO_ENCODING_CACHE", "off")
+        monkeypatch.setattr(EncodingCache, "get",
+                            lambda self, graph: compute_encoding(graph))
         fresh = build()
         assert len(cached) == len(fresh)
         for bc, bf in zip(cached, fresh):

@@ -165,6 +165,19 @@ class TestRouting:
         assert all(router.ring.order(request_hash(line)) == first
                    for _ in range(5))
 
+    def test_replies_are_not_held_by_nagle(self, fleet):
+        router = ReproRouter([s.address for s in fleet["servers"]],
+                             RouterConfig(health_poll_s=5.0))
+        router.start()
+        c = Client(router.address)
+        try:
+            assert c.rpc({"op": "health", "id": "n"})["ok"]
+            (conn,) = router._conns
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            c.close()
+            router.stop()
+
 
 class TestFailover:
     def test_kill_failover_and_rejoin(self, fleet):

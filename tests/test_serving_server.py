@@ -115,6 +115,18 @@ class TestRouting:
         ids = sorted(client.read()["id"] for _ in range(5))
         assert ids == list(range(5))
 
+    def test_replies_are_not_held_by_nagle(self, serving_runtime):
+        srv =ReproServer(serving_runtime, ServerConfig(port=0, workers=1))
+        srv.start()
+        c = Client(srv.address)
+        try:
+            assert c.rpc({"op": "health", "id": "n"})["ok"]
+            (conn,) = srv._conns
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            c.close()
+            srv.stop()
+
 
 class TestHostileClients:
     def test_garbage_line_gets_error_and_connection_survives(self, client):
