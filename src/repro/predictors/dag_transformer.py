@@ -14,6 +14,8 @@ Architecture per §IV-B5/B6:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..nn import fastpath
@@ -30,13 +32,20 @@ from .dataset import Batch
 MAX_DEPTH = 4096
 
 
+@lru_cache(maxsize=8)
 def sinusoidal_table(max_len: int, dim: int) -> np.ndarray:
-    """Standard transformer sinusoidal position table."""
+    """Standard transformer sinusoidal position table.
+
+    Built once per ``(max_len, dim)`` and shared read-only by every
+    model of that width; indexing it with a depth array copies.
+    """
     pos = np.arange(max_len)[:, None].astype(np.float64)
     i = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(np.float32)
+    table = table.astype(np.float32)
+    table.flags.writeable = False
+    return table
 
 
 class DAGTransformerLayer(Module):

@@ -2,10 +2,12 @@
 
 Single-graph ``predict`` requests dominate serving traffic, and the
 ensemble's :meth:`predict_many` amortizes batch construction across
-graphs (PR-5).  The batcher exploits that: connection threads enqueue
-pending predictions into a bounded queue; one batcher thread drains it,
-waits up to ``window_ms`` for stragglers (up to ``max_batch``), and
-answers the whole batch from a single guarded model call.
+graphs.  The batcher exploits that: connection threads enqueue pending
+predictions into a bounded queue, and one batcher thread answers them
+from guarded model calls.  It is **work-conserving**: it never holds a
+request back to wait for company.  A lone request goes straight to the
+model; requests that queue while a model call runs share the next
+batch, up to ``max_batch`` graphs.
 
 Robustness contract:
 
@@ -26,7 +28,6 @@ Robustness contract:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -64,21 +65,16 @@ class MicroBatcher:
         breaker: CircuitBreaker,
         *,
         max_batch: int = 32,
-        window_ms: float = 4.0,
         max_queue: int = 256,
-        on_batch: Callable[[int, str], None] | None = None,
         weight_of: Callable[[str], int] | None = None,
         max_queued_of: Callable[[str], int] | None = None,
     ) -> None:
         self.runtime = runtime
         self.breaker = breaker
         self.max_batch = max(1, max_batch)
-        self.window_s = max(0.0, window_ms) / 1000.0
         self._queue: FairQueue = FairQueue(
             max(1, max_queue), weight_of=weight_of,
             max_queued_of=max_queued_of)
-        #: observability hook: (batch size, served_by) per executed batch
-        self._on_batch = on_batch
         self.batches = 0
         self.coalesced = 0
         self._thread = threading.Thread(target=self._loop,
@@ -113,18 +109,14 @@ class MicroBatcher:
 
     # ------------------------------------------------------------- the loop
     def _collect(self) -> list[_Pending]:
-        """Block for one item, then coalesce stragglers for a window."""
+        """Block for one item, then take only what is already queued."""
         first = self._queue.get(timeout=0.25)
         if first is None:
             return []
         batch = [first]
         total_graphs = len(first.graphs)
-        deadline = time.monotonic() + self.window_s
         while total_graphs < self.max_batch:
-            wait = deadline - time.monotonic()
-            if wait <= 0:
-                break
-            item = self._queue.get(timeout=wait)
+            item = self._queue.get_nowait()
             if item is None:
                 break
             batch.append(item)
@@ -177,8 +169,6 @@ class MicroBatcher:
                 self.breaker.record(suspect == 0,
                                     f"{suspect} suspect verdict(s)"
                                     if suspect else "")
-        if self._on_batch is not None:
-            self._on_batch(len(live), served_by)
         degraded = served_by != "model"
         cursor = 0
         for item in live:

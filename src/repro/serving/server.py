@@ -70,7 +70,6 @@ class ServerConfig:
     #: bounded batcher queue
     max_batch_queue: int = 256
     max_batch: int = 32
-    batch_window_ms: float = 4.0
     default_deadline_ms: float = 30_000.0
     #: base of the shed responses' retry_after_ms hint
     retry_after_ms: float = 25.0
@@ -152,9 +151,7 @@ class ReproServer:
         self.batcher = MicroBatcher(
             runtime, self.breakers["predict"],
             max_batch=self.config.max_batch,
-            window_ms=self.config.batch_window_ms,
             max_queue=self.config.max_batch_queue,
-            on_batch=self._on_batch,
             weight_of=tenancy.weight_of,
             max_queued_of=tenancy.max_queued_of)
         self._exec_queue: FairQueue = FairQueue(
@@ -689,11 +686,6 @@ class ReproServer:
             "counters": self.counters.snapshot(),
             "runtime": self.runtime.describe(),
         }
-
-    def _on_batch(self, size: int, served_by: str) -> None:
-        self.counters.inc("batches")
-        if size > 1:
-            self.counters.inc("coalesced_requests", size)
 
     # --------------------------------------------------------------- reload
     def _checkpoint_stamp(self) -> tuple:

@@ -57,6 +57,16 @@ class TestDAGTransformer:
         # distinct depths get distinct encodings
         assert not np.allclose(t[0], t[1])
 
+    def test_models_share_one_read_only_table(self, batch):
+        m1 = DAGTransformerModel(FEATURE_DIM, seed=0)
+        m2 = DAGTransformerModel(FEATURE_DIM, seed=1)
+        assert m1._pe is m2._pe
+        assert not m1._pe.flags.writeable
+        before = m1._pe.copy()
+        m1(batch)
+        m2(batch)
+        np.testing.assert_array_equal(m1._pe, before)
+
     def test_padding_invariance(self, tiny_corpus):
         """Predictions must not depend on batch padding width."""
         norm = Normalizer.fit(tiny_corpus)

@@ -145,7 +145,7 @@ class TestDegradationRoundTrip:
             BreakerConfig(failure_threshold=3, window=6, cooldown_s=0.2),
             journal_root=tmp_path)
         batcher = MicroBatcher(serving_runtime, breaker,
-                               max_batch=4, window_ms=0.0, max_queue=16)
+                               max_batch=4, max_queue=16)
         batcher.start()
         try:
             # three poisoned model calls: each one is answered from the

@@ -183,7 +183,7 @@ class TestBackpressure:
             self, serving_runtime):
         srv = ReproServer(serving_runtime, ServerConfig(
             port=0, workers=1, max_queue=1, max_batch_queue=2,
-            max_batch=1, batch_window_ms=25.0, shed_trip=1000))
+            max_batch=1, shed_trip=1000))
         srv.start()
         responses = []
         lock = threading.Lock()
@@ -219,14 +219,22 @@ class TestBackpressure:
             self, serving_runtime):
         srv = ReproServer(serving_runtime, ServerConfig(
             port=0, workers=1, max_batch_queue=1, max_batch=1,
-            batch_window_ms=50.0, shed_trip=2))
+            shed_trip=2))
         srv.start()
         try:
             cs = [Client(srv.address) for _ in range(6)]
-            for i, c in enumerate(cs):
-                c.send_raw((json.dumps(
-                    {"op": "predict", "id": i,
-                     "params": {"slice": [0, 1]}}) + "\n").encode())
+            # a stalled model keeps the one-slot queue full: at most two
+            # predicts get in (one in the model, one queued), so the other
+            # four are shed, at least two of them back to back
+            with serving_runtime.model_lock:
+                for i, c in enumerate(cs):
+                    c.send_raw((json.dumps(
+                        {"op": "predict", "id": i,
+                         "params": {"slice": [0, 1]}}) + "\n").encode())
+                deadline = time.monotonic() + 30.0
+                while (srv.counters.get("shed") < 4
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
             for c in cs:
                 assert c.read() is not None
                 c.close()
@@ -306,7 +314,6 @@ class TestTenancy:
             "narrow": TenantPolicy(max_inflight=1)})
         srv = ReproServer(serving_runtime,
                           ServerConfig(port=0, workers=1, max_batch=1,
-                                       batch_window_ms=50.0,
                                        tenancy=tenancy))
         srv.start()
         try:
