@@ -13,6 +13,7 @@ a perf run doubles as a correctness sweep.
 import pytest
 
 from repro.cluster import PLATFORM2
+from repro.memo import clear_all
 from repro.models import benchmark_config, build_model
 from repro.parallel import intra_op, legacy_node_strategies, node_strategies
 
@@ -66,7 +67,7 @@ def test_solve_topo_off(benchmark, graphs, monkeypatch):
     lm = PLATFORM2.mesh(3).logical(2, 2)
 
     def solve():
-        intra_op.clear_table_caches()
+        clear_all()
         return intra_op.optimize_stage(graphs["moe"], lm)
 
     plan = benchmark(solve)
@@ -78,7 +79,7 @@ def test_solve_topo_on(benchmark, graphs, monkeypatch):
     lm = PLATFORM2.mesh(3).logical(2, 2)
 
     def solve():
-        intra_op.clear_table_caches()
+        clear_all()
         return intra_op.optimize_stage(graphs["moe"], lm)
 
     plan = benchmark(solve)

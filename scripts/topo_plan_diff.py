@@ -22,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.cluster import PLATFORM2  # noqa: E402
+from repro.memo import clear_all  # noqa: E402
 from repro.models import benchmark_config, build_model  # noqa: E402
 from repro.parallel import intra_op  # noqa: E402
 
@@ -32,7 +33,7 @@ def solve(graph, mesh, topo: bool):
     else:
         os.environ.pop("REPRO_TOPO", None)
     try:
-        intra_op.clear_table_caches()
+        clear_all()
         return intra_op.optimize_stage(graph, mesh.logical(2, 2))
     finally:
         os.environ.pop("REPRO_TOPO", None)

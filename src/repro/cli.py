@@ -110,6 +110,19 @@ def cmd_info(args) -> int:
     print("\nfault-injection sites (REPRO_FAULTS):")
     for site, doc in SITE_SUMMARIES.items():
         print(f"  {site}: {doc}")
+    from .memo import MEMO_BOUND, snapshot
+    from .parallel import plan_cache  # noqa: F401 - registers its tiers
+    from .predictors import encoding_cache  # noqa: F401
+    from .serving.server import SEARCH_CACHE_SIZE
+
+    print("\nin-process memo tiers (LRU bound; clear_all() empties all but "
+          "pinned ones):")
+    for name, tier in snapshot().items():
+        pinned = ", pinned" if tier["pinned"] else ""
+        print(f"  {name} [{tier['key']}]: bound {tier['bound']}{pinned}")
+    print(f"  per profiler: runtime.stage_graphs bound {MEMO_BOUND}, "
+          f"runtime.profiles bound None; per daemon: serving.search "
+          f"bound {SEARCH_CACHE_SIZE}")
     print("\nexit codes: 0 = ok, 1 = error/mismatch, 2 = partial results, "
           "3 = degraded-only service")
     return EXIT_OK

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .. import faults
+from ..env import env_setting
 from . import pool as pool_mod
 from .manifest import append_event
 from .profiles import ExperimentProfile
@@ -69,42 +70,29 @@ def n_jobs(default: int | None = None) -> int:
     """Worker count from ``REPRO_JOBS`` (default ``os.cpu_count()``)."""
     if _IN_WORKER:
         return 1
-    env = os.environ.get("REPRO_JOBS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"REPRO_JOBS={env!r} is not an integer") from None
+    jobs = env_setting("REPRO_JOBS", None, int)
+    if jobs is not None:
+        return max(1, jobs)
     if default is not None:
         return max(1, default)
     return os.cpu_count() or 1
 
 
-def _env_float(name: str, default: float) -> float:
-    env = os.environ.get(name, "")
-    if not env:
-        return default
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError(f"{name}={env!r} is not a number") from None
-
-
 def cell_timeout() -> float:
     """Per-cell wall-clock budget from ``REPRO_CELL_TIMEOUT`` (seconds;
     0 = unlimited, the default)."""
-    return max(0.0, _env_float("REPRO_CELL_TIMEOUT", 0.0))
+    return max(0.0, env_setting("REPRO_CELL_TIMEOUT", 0.0))
 
 
 def cell_retries() -> int:
     """Retries per failed cell from ``REPRO_CELL_RETRIES`` (default 2)."""
-    return max(0, int(_env_float("REPRO_CELL_RETRIES", 2)))
+    return max(0, int(env_setting("REPRO_CELL_RETRIES", 2)))
 
 
 def retry_backoff() -> float:
     """Base retry delay from ``REPRO_RETRY_BACKOFF`` (seconds, default
     0.05); attempt ``k`` waits ``backoff * 2**(k-1)``."""
-    return max(0.0, _env_float("REPRO_RETRY_BACKOFF", 0.05))
+    return max(0.0, env_setting("REPRO_RETRY_BACKOFF", 0.05))
 
 
 def parallel_map(

@@ -27,6 +27,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Any
 
+from ..env import env_setting
+
 MANIFEST_NAME = "manifest.jsonl"
 
 #: rotation threshold / retained generations (env-overridable)
@@ -38,28 +40,18 @@ def manifest_path(root: str | os.PathLike) -> Path:
     return Path(root) / MANIFEST_NAME
 
 
-def _env_int(name: str, default: int) -> int:
-    env = os.environ.get(name, "")
-    if not env:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        return default
-
-
 def rotated_paths(root: str | os.PathLike) -> list[Path]:
     """Existing journal generations under ``root``, oldest first
     (``manifest.jsonl.N`` … ``manifest.jsonl.1``, then the live file)."""
     base = manifest_path(root)
-    keep = max(1, _env_int("REPRO_MANIFEST_KEEP", DEFAULT_KEEP))
+    keep = max(1, env_setting("REPRO_MANIFEST_KEEP", DEFAULT_KEEP, int))
     paths = [base.with_name(f"{base.name}.{i}")
              for i in range(keep, 0, -1)]
     paths.append(base)
     return [p for p in paths if p.exists()]
 
 
-def _rotate(path: Path) -> None:
+def _rotate(path: Path, keep: int) -> None:
     """Shift ``manifest.jsonl`` → ``.1`` → ``.2`` …, dropping the oldest.
 
     Renames are atomic, so a concurrent appender that already holds an
@@ -67,7 +59,6 @@ def _rotate(path: Path) -> None:
     lost, only land one generation earlier.  Racing rotators are benign:
     the loser's ``rename`` fails (source gone) and is swallowed.
     """
-    keep = max(1, _env_int("REPRO_MANIFEST_KEEP", DEFAULT_KEEP))
     oldest = path.with_name(f"{path.name}.{keep}")
     try:
         oldest.unlink()
@@ -91,23 +82,27 @@ def append_event(root: str | os.PathLike | None, event: str,
     """Append one journal line under ``root`` (no-op when root is None).
 
     Journaling must never take down the run it is observing, so IO
-    errors are swallowed.  Rotation is checked before the append, so a
-    single event can exceed the threshold by at most one line.
+    errors are swallowed and a malformed rotation setting reads as its
+    default.  Rotation is checked before the append, so a single event
+    can exceed the threshold by at most one line.
     """
     if root is None:
         return
+    try:
+        max_bytes = env_setting("REPRO_MANIFEST_MAX_BYTES",
+                                DEFAULT_MAX_BYTES, int)
+        keep = env_setting("REPRO_MANIFEST_KEEP", DEFAULT_KEEP, int)
+    except ValueError:
+        max_bytes, keep = DEFAULT_MAX_BYTES, DEFAULT_KEEP
     record = {"ts": round(time.time(), 3), "pid": os.getpid(),
               "event": event, **fields}
     line = json.dumps(record, sort_keys=True) + "\n"
     try:
         path = manifest_path(root)
         path.parent.mkdir(parents=True, exist_ok=True)
-        max_bytes = max(4096,
-                        _env_int("REPRO_MANIFEST_MAX_BYTES",
-                                 DEFAULT_MAX_BYTES))
         try:
-            if path.stat().st_size >= max_bytes:
-                _rotate(path)
+            if path.stat().st_size >= max(4096, max_bytes):
+                _rotate(path, max(1, keep))
         except OSError:
             pass
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)

@@ -25,13 +25,7 @@ from .reachability import (
     undirected_adjacency,
 )
 from .serialize import graph_from_dict, graph_to_dict
-from .structure import (
-    RepeatedBlock,
-    communication_free_groups,
-    context_signatures,
-    propagation_free_chains,
-    repeated_blocks,
-)
+from .structure import context_signatures
 
 __all__ = [
     "ALL_DTYPES", "DType", "dtype", "dtype_index", "promote",
@@ -45,6 +39,5 @@ __all__ = [
     "FEATURE_DIM", "MAX_RANK", "graph_features", "node_features",
     "OP_TYPES", "OpDef", "op_def", "op_index", "node_flops", "node_bytes",
     "graph_from_dict", "graph_to_dict",
-    "RepeatedBlock", "context_signatures", "communication_free_groups",
-    "propagation_free_chains", "repeated_blocks",
+    "context_signatures",
 ]

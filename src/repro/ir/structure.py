@@ -36,52 +36,19 @@ Structures this provably collapses on the existing families:
   suffix pays DP work;
 * **elementwise/residual chains** — bias+GeLU+dropout tails repeated
   per twin branch.
-
-The remaining helpers (:func:`propagation_free_chains`,
-:func:`repeated_blocks`) report the classic CFP shapes — chains whose
-sharding propagates resharding-free and periodically repeated layer
-blocks — for diagnostics, docs and tests; the collapse memo itself only
-needs the signatures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..memo import tier
 from .graph import Graph
-from .ops import is_registered, op_def
 
-#: process-wide signature intern table: structural key -> stable small int.
+#: process-wide signature intern: structural key -> stable small int.
 #: Signatures are mesh-independent (node_cost_key reads no mesh state), so
-#: one table serves every mesh; per-mesh memos key off these ids.
-_SIG_IDS: dict[tuple, int] = {}
-
-
-def _intern(key: tuple) -> int:
-    sid = _SIG_IDS.get(key)
-    if sid is None:
-        sid = len(_SIG_IDS)
-        _SIG_IDS[key] = sid
-    return sid
-
-
-def clear_signature_intern() -> None:
-    """Reset the intern table (tests only — ids leak into per-mesh memos,
-    so callers must clear those too; ``clear_table_caches`` does both)."""
-    _SIG_IDS.clear()
-
-
-def _local_key(graph: Graph, node) -> tuple:
-    # deferred import: ir is imported by runtime (cycle otherwise), and the
-    # key must be *the* node_cost_key the DP's table sharing uses, not a copy
-    from ..runtime.opcost import node_cost_key
-
-    if node.node_type in ("input", "literal"):
-        return ("leaf", node.out.shape)
-    if node.node_type == "output":
-        return ("out",)
-    return ("op", node_cost_key(
-        node, [graph.nodes[i].out for i in node.inputs]))
+#: one table serves every mesh; per-mesh memos key off these ids, so only
+#: ``repro.memo.clear_all`` clears it, together with them.
+_SIG_IDS = tier("ir.signatures",
+                "(local structure, producer signatures and fan-outs)").entries
 
 
 _OUT_KEY = ("out",)
@@ -123,114 +90,3 @@ def context_signatures(graph: Graph) -> list[int]:
             intern[key] = sid
         sigs[node.id] = sid
     return sigs
-
-
-def communication_free_groups(graph: Graph) -> list[list[int]]:
-    """Signature equivalence classes of size ≥ 2, each sorted by node id.
-
-    Every class is a set of nodes whose DP forward vectors coincide
-    bitwise — the subgraphs the collapse pass solves once.  Returned in
-    order of first appearance.
-    """
-    by_sig: dict[int, list[int]] = {}
-    for nid, sig in enumerate(context_signatures(graph)):
-        by_sig.setdefault(sig, []).append(nid)
-    return [nids for nids in by_sig.values() if len(nids) >= 2]
-
-
-def _propagates_free(graph: Graph, node) -> bool:
-    """True when the op preserves layout structure: the optimal sharding
-    of its input propagates through without resharding (elementwise ops,
-    shape-preserving data movement)."""
-    if node.node_type != "operator" or not node.inputs \
-            or not is_registered(node.op):
-        return False
-    d = op_def(node.op)
-    if d.category == "elementwise":
-        return True
-    return (d.category == "data_movement"
-            and node.out.shape == graph.nodes[node.inputs[0]].out.shape)
-
-
-def propagation_free_chains(graph: Graph, min_len: int = 2) -> list[list[int]]:
-    """Maximal single-consumer chains of sharding-transparent operators.
-
-    The CFP "communication-free chain": each link is an elementwise (or
-    shape-preserving) op whose single operator input feeds only it, so
-    one sharding decision covers the whole chain with zero resharding.
-    Chains shorter than ``min_len`` are dropped.
-    """
-    in_chain: set[int] = set()
-    chains: list[list[int]] = []
-    for node in graph.nodes:
-        if node.id in in_chain or not _propagates_free(graph, node):
-            continue
-        chain = [node.id]
-        in_chain.add(node.id)
-        cur = node
-        while True:
-            cons = graph.consumers(cur.id)
-            if len(cons) != 1:
-                break
-            nxt = graph.nodes[cons[0]]
-            if not _propagates_free(graph, nxt) or nxt.inputs[0] != cur.id:
-                break
-            chain.append(nxt.id)
-            in_chain.add(nxt.id)
-            cur = nxt
-        if len(chain) >= min_len:
-            chains.append(chain)
-    return chains
-
-
-@dataclass(frozen=True)
-class RepeatedBlock:
-    """A periodic run of structurally identical layer blocks."""
-
-    start: int  #: node id of the first node of the first repetition
-    period: int  #: nodes per repetition
-    count: int  #: number of repetitions (≥ 2)
-
-    @property
-    def nodes(self) -> range:
-        return range(self.start, self.start + self.period * self.count)
-
-
-def repeated_blocks(graph: Graph, min_count: int = 2) -> list[RepeatedBlock]:
-    """Detect repeated identical layers (GPT/BERT/ViT blocks, MoE
-    experts) as periodicity in the node sequence.
-
-    Two windows repeat when every node's local structural key *and* its
-    input wiring relative to the window start coincide.  Greedy scan for
-    the smallest period first, so a 12-layer transformer reports one
-    block with ``period = nodes-per-layer`` and ``count = 12`` rather
-    than nested multiples.  Purely diagnostic: the collapse memo shares
-    work through :func:`context_signatures`, which also catches
-    repetitions this positional scan cannot (e.g. interleaved twins).
-    """
-    n = len(graph)
-    shape: list[tuple] = []
-    for node in graph.nodes:
-        rel = tuple(node.id - p for p in node.inputs)
-        shape.append((_local_key(graph, node), rel,
-                      len(graph.consumers(node.id))))
-
-    blocks: list[RepeatedBlock] = []
-    i = 0
-    while i < n:
-        found = None
-        for period in range(1, (n - i) // 2 + 1):
-            count = 1
-            while (i + (count + 1) * period <= n
-                   and shape[i + count * period:i + (count + 1) * period]
-                   == shape[i:i + period]):
-                count += 1
-            if count >= min_count:
-                found = RepeatedBlock(i, period, count)
-                break
-        if found is not None:
-            blocks.append(found)
-            i = found.start + found.period * found.count
-        else:
-            i += 1
-    return blocks

@@ -3,7 +3,7 @@
 from .inter_op import LatencyTable, StageLatencySource, slice_stages
 from .intra_op import (IntraOpPlan, NodeAssignment, optimize_stage,
                        optimize_stage_reference)
-from .plan_cache import PlanCache, cached_optimize_stage, global_plan_cache
+from .plan_cache import cached_optimize_stage, global_plan_cache
 from .plans import ParallelPlan, StageAssignment
 from .resharding import ReshardCache, reshard_cache, reshard_time
 from .sharding import (REPLICATED, ShardingSpec, candidate_specs, intern_spec,
@@ -22,7 +22,7 @@ __all__ = [
     "describe_handlers",
     "IntraOpPlan", "NodeAssignment", "optimize_stage",
     "optimize_stage_reference",
-    "PlanCache", "cached_optimize_stage", "global_plan_cache",
+    "cached_optimize_stage", "global_plan_cache",
     "LatencyTable", "StageLatencySource", "slice_stages",
     "ParallelPlan", "StageAssignment",
 ]

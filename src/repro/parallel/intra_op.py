@@ -44,14 +44,14 @@ Two implementations coexist:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..cluster.mesh import LogicalMesh
 from ..ir.graph import Graph, TensorSpec
-from ..ir.structure import clear_signature_intern, context_signatures
+from ..ir.structure import context_signatures
+from ..memo import MemoStats, tier
 from ..runtime.opcost import node_cost_key, op_time, op_time_cached
 from .resharding import reshard_cache, reshard_time
 from .sharding import (REPLICATED, ShardingSpec, candidate_specs, spec_by_id,
@@ -150,74 +150,54 @@ class _NodeTable:
         self.out_col = None if len(ids) == len(strats) else colv
 
 
-#: mesh -> {structure key -> _NodeTable}
-_MESH_TABLES: dict[LogicalMesh, dict[tuple, _NodeTable]] = {}
-
 _FALLBACK_NAME = "fallback[R]"
 
 
-def _mesh_tables(mesh: LogicalMesh) -> dict[tuple, _NodeTable]:
-    tabs = _MESH_TABLES.get(mesh)
-    if tabs is None:
-        tabs = _MESH_TABLES.setdefault(mesh, {})
-    return tabs
+class _MeshTables:
+    """One logical mesh's DP tables.
+
+    * ``tables`` — node structure key -> :class:`_NodeTable`;
+    * ``sig_tables`` — context signature -> :class:`_NodeTable`, the
+      prepare pass's index.  A signature pins ``node_cost_key`` (see
+      ``ir.structure``), so it determines the strategy table; indexing by
+      signature lets a hit node skip the cost-key build and slot-op
+      assembly entirely at prepare time, which is where the cold-solve
+      time actually goes;
+    * ``vectors`` — context signature -> (forward costs, grouped-by-out-
+      spec costs), the CFP collapse memo.  A signature pins every input
+      of a node's forward sweep (its strategy table, reshard matrices,
+      amortization shares, and — inductively — its producers' vectors),
+      so memo entries are bit-identical to a fresh computation on any
+      graph.
+    """
+
+    __slots__ = ("tables", "sig_tables", "vectors")
+
+    def __init__(self) -> None:
+        self.tables: dict[tuple, _NodeTable] = {}
+        self.sig_tables: dict[int, _NodeTable] = {}
+        self.vectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-@dataclass
-class CollapseStats:
-    """Hit/miss counters for the CFP collapse memo (process-wide)."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-_COLLAPSE_STATS = CollapseStats()
-
-#: mesh -> {context signature -> (forward costs, grouped-by-out-spec costs)}
-#: — the CFP collapse memo.  A signature (``ir.structure``) pins every
-#: input of a node's forward sweep (its strategy table, reshard matrices,
-#: amortization shares, and — inductively — its producers' vectors), so
-#: memo entries are bit-identical to a fresh computation on any graph.
-_COLLAPSE_MEMO: dict[LogicalMesh, dict[int, tuple[np.ndarray, np.ndarray]]] \
-    = {}
-
-#: mesh -> {context signature -> _NodeTable} — the prepare pass's table
-#: index.  A signature pins ``node_cost_key`` (see ``ir.structure``), so
-#: it determines the strategy table; indexing by signature lets a hit
-#: node skip the cost-key build and slot-op assembly entirely at prepare
-#: time, which is where the cold-solve time actually goes.
-_SIG_TABLES: dict[LogicalMesh, dict[int, _NodeTable]] = {}
+#: logical mesh -> its DP tables; hits/misses count collapse-vector reads
+_DP_TABLES = tier("parallel.dp_tables",
+               "logical mesh (node structure / context signature)")
 
 #: graph -> (n, per-node context signatures); signatures are
 #: mesh-independent, so one entry serves every logical view
-_GRAPH_SIGS: "weakref.WeakKeyDictionary[Graph, tuple[int, list[int]]]" = \
-    weakref.WeakKeyDictionary()
+_GRAPH_SIGS = tier("parallel.graph_signatures", "graph object (weak)",
+                   weak=True).entries
 
 
-def collapse_stats() -> CollapseStats:
-    return _COLLAPSE_STATS
+def collapse_stats() -> MemoStats:
+    """Hit/miss counters of the CFP collapse memo (process-wide)."""
+    return _DP_TABLES.stats
 
 
-def _collapse_memo(mesh: LogicalMesh) -> dict:
-    memo = _COLLAPSE_MEMO.get(mesh)
-    if memo is None:
-        memo = _COLLAPSE_MEMO.setdefault(mesh, {})
-    return memo
-
-
-def _sig_tables(mesh: LogicalMesh) -> dict:
-    tabs = _SIG_TABLES.get(mesh)
+def _mesh_tables(mesh: LogicalMesh) -> _MeshTables:
+    tabs = _DP_TABLES.entries.get(mesh)
     if tabs is None:
-        tabs = _SIG_TABLES.setdefault(mesh, {})
+        tabs = _DP_TABLES.entries.setdefault(mesh, _MeshTables())
     return tabs
 
 
@@ -227,17 +207,6 @@ def _graph_sigs(graph: Graph) -> list[int]:
         entry = (len(graph), context_signatures(graph))
         _GRAPH_SIGS[graph] = entry
     return entry[1]
-
-
-def clear_table_caches() -> None:
-    """Drop the node-table and solve-plan caches (tests and benchmarks)."""
-    _MESH_TABLES.clear()
-    _SOLVE_PLANS.clear()
-    _COLLAPSE_MEMO.clear()
-    _SIG_TABLES.clear()
-    _GRAPH_SIGS.clear()
-    clear_signature_intern()
-    _COLLAPSE_STATS.reset()
 
 
 def _build_table(graph: Graph, node, mesh: LogicalMesh) -> _NodeTable:
@@ -285,31 +254,15 @@ class _SolvePlan:
     float-addition identity here (no ``-0.0`` can arise from these sums).
     """
 
-    __slots__ = ("n", "fwd", "rev")
+    __slots__ = ("tables", "fwd", "rev")
 
-    def __init__(self, n: int, fwd: list, rev: list) -> None:
-        self.n = n
+    def __init__(self, tables: list, fwd: list, rev: list) -> None:
+        #: per node: its _NodeTable
+        self.tables = tables
         #: per node: (table, ((pid, share, R, req_of, has), ...))
         self.fwd = fwd
         #: reversed order: (nid, table, nbytes, ((cid, slot), ...), is_sink)
         self.rev = rev
-
-
-#: graph -> {mesh -> _SolvePlan}; weak so retired graphs free their plans
-_SOLVE_PLANS: "weakref.WeakKeyDictionary[Graph, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-class _PlanTables:
-    """Index a plan's forward entries as a node-id -> table mapping."""
-
-    __slots__ = ("fwd",)
-
-    def __init__(self, fwd: list) -> None:
-        self.fwd = fwd
-
-    def __getitem__(self, nid: int) -> _NodeTable:
-        return self.fwd[nid][0]
 
 
 def _slot_ops_for(graph: Graph, node, table: _NodeTable, node_tab,
@@ -331,9 +284,8 @@ def _slot_ops_for(graph: Graph, node, table: _NodeTable, node_tab,
 
 
 def _prepare(graph: Graph, mesh: LogicalMesh) -> _SolvePlan:
-    n = len(graph)
     rcache = reshard_cache(mesh)
-    node_tab: list[_NodeTable] = [None] * n  # type: ignore
+    node_tab: list[_NodeTable] = [None] * len(graph)  # type: ignore
 
     # Tables are indexed by context signature.  Equal signatures imply
     # equal ``node_cost_key`` (ir.structure), which determines the
@@ -344,8 +296,8 @@ def _prepare(graph: Graph, mesh: LogicalMesh) -> _SolvePlan:
     # as the fallback).
     fwd: list = []
     sigs = _graph_sigs(graph)
-    sig_tables = _sig_tables(mesh)
-    tables = _mesh_tables(mesh)
+    mesh_tables = _mesh_tables(mesh)
+    sig_tables, tables = mesh_tables.sig_tables, mesh_tables.tables
     for node in graph.nodes:
         table = sig_tables.get(sigs[node.id])
         if table is not None:
@@ -380,18 +332,7 @@ def _prepare(graph: Graph, mesh: LogicalMesh) -> _SolvePlan:
             (cid, graph.nodes[cid].inputs.index(node.id)) for cid in cons)
         rev.append((node.id, node_tab[node.id], node.out.nbytes, edges,
                     not cons))
-    return _SolvePlan(n, fwd, rev)
-
-
-def _solve_plan(graph: Graph, mesh: LogicalMesh) -> _SolvePlan:
-    per_mesh = _SOLVE_PLANS.get(graph)
-    if per_mesh is None:
-        per_mesh = _SOLVE_PLANS.setdefault(graph, {})
-    plan = per_mesh.get(mesh)
-    if plan is None or plan.n != len(graph):  # graphs are append-only
-        plan = _prepare(graph, mesh)
-        per_mesh[mesh] = plan
-    return plan
+    return _SolvePlan(node_tab, fwd, rev)
 
 
 def optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
@@ -418,32 +359,30 @@ def optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
     would produce bit-for-bit (``tests/test_dp_collapse.py`` enforces it
     differentially).
     """
-    plan = _solve_plan(graph, mesh)
+    plan = _prepare(graph, mesh)
     rcache = reshard_cache(mesh)
-    n = plan.n
+    n = len(graph)
     cost_tab: list[np.ndarray] = [None] * n  # type: ignore  # (S,) fwd costs
     #: min forward cost per distinct out spec (the by-spec table)
     group_cost: list[np.ndarray] = [None] * n  # type: ignore
 
-    memo = _collapse_memo(mesh)
+    memo = _mesh_tables(mesh).vectors
     sigs = _graph_sigs(graph)
-    stats = _COLLAPSE_STATS
+    hits = 0
 
     for nid, (table, slot_ops) in enumerate(plan.fwd):
         hit = memo.get(sigs[nid])
         if hit is not None:
             cost_tab[nid], group_cost[nid] = hit
-            stats.hits += 1
+            hits += 1
             continue
         if slot_ops is None:
             # prepared as a collapse hit but the memo holds no vector for
             # it: another graph's prepare registered the signature and no
-            # solve has filled it yet (concurrent solves through the plan
-            # cache can interleave this way), so complete the entry
-            slot_ops = _slot_ops_for(
-                graph, graph.nodes[nid], table, _PlanTables(plan.fwd),
-                rcache)
-            plan.fwd[nid] = (table, slot_ops)
+            # solve has filled it yet (concurrent solves can interleave
+            # this way), so build the node's contractions here
+            slot_ops = _slot_ops_for(graph, graph.nodes[nid], table,
+                                     plan.tables, rcache)
         costs = table.base
         for pid, share, R, req_of, has in slot_ops:
             best = (share * group_cost[pid][:, None] + R).min(axis=0)
@@ -464,7 +403,7 @@ def optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
         costs.flags.writeable = False
         group_cost[nid].flags.writeable = False
         memo[sigs[nid]] = (costs, group_cost[nid])
-        stats.misses += 1
+    _DP_TABLES.record(hits, n - hits)
 
     # ---- reverse resolution ------------------------------------------------
     assignments: list[NodeAssignment | None] = [None] * n

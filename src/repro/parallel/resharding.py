@@ -24,6 +24,7 @@ import numpy as np
 from ..cluster.collectives import allgather_time
 from ..cluster.mesh import LogicalMesh
 from ..ir.graph import TensorSpec
+from ..memo import tier
 from .sharding import ShardingSpec, normalized_spec, spec_by_id, spec_id
 
 
@@ -127,21 +128,12 @@ class ReshardCache:
         return mat
 
 
-_CACHES: dict[LogicalMesh, ReshardCache] = {}
+_RESHARD = tier("parallel.reshard", "logical mesh")
 
 
 def reshard_cache(mesh: LogicalMesh) -> ReshardCache:
     """The process-wide :class:`ReshardCache` for ``mesh``."""
-    cache = _CACHES.get(mesh)
-    if cache is None:
-        cache = _CACHES.setdefault(mesh, ReshardCache(mesh))
-    return cache
+    return _RESHARD.get(mesh, lambda: ReshardCache(mesh))
 
 
-def clear_reshard_caches() -> None:
-    """Drop all per-mesh caches (tests and benchmarks)."""
-    _CACHES.clear()
-
-
-__all__ = ["reshard_time", "ReshardCache", "reshard_cache",
-           "clear_reshard_caches", "spec_id"]
+__all__ = ["reshard_time", "ReshardCache", "reshard_cache", "spec_id"]

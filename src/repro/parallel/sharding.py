@@ -25,6 +25,7 @@ from typing import Iterator
 
 from ..cluster.mesh import LogicalMesh
 from ..ir.graph import TensorSpec
+from ..memo import tier
 
 AXES = ("dp", "mp")
 
@@ -114,13 +115,15 @@ class ShardingSpec:
 # --------------------------------------------------------------- interning
 
 _INTERN_LOCK = threading.Lock()
-#: assignments tuple -> the canonical (validated-once) instance
-_INTERN: dict[tuple, ShardingSpec] = {}
+#: assignments tuple -> the canonical (validated-once) instance; pinned,
+#: because ids and canonical instances must live as long as the process
+_INTERN = tier("parallel.specs", "sharding assignments",
+               pinned=True).entries
 #: assignments tuple -> stable integer id (index into _SPECS_BY_ID)
 _SPEC_IDS: dict[tuple, int] = {}
 _SPECS_BY_ID: list[ShardingSpec] = []
-#: (spec id, dp > 1, mp > 1) -> interned normalized spec
-_NORM_CACHE: dict[tuple[int, bool, bool], ShardingSpec] = {}
+_NORMALIZED = tier("parallel.normalized_specs",
+                   "(spec id, dp > 1, mp > 1)").entries
 
 
 def intern_assignments(assignments: tuple[tuple[int, str], ...]) -> ShardingSpec:
@@ -169,23 +172,19 @@ def normalized_spec(spec: ShardingSpec, mesh: LogicalMesh) -> ShardingSpec:
     across every mesh with the same degenerate-axis pattern.
     """
     key = (spec_id(spec), mesh.dp > 1, mesh.mp > 1)
-    norm = _NORM_CACHE.get(key)
+    norm = _NORMALIZED.get(key)
     if norm is None:
         norm = intern_spec(spec.normalized(mesh))
-        _NORM_CACHE[key] = norm
+        _NORMALIZED[key] = norm
     return norm
-
-
-def intern_stats() -> dict[str, int]:
-    """Cache sizes, for tests and the perf harness."""
-    return {"specs": len(_SPECS_BY_ID), "normalized": len(_NORM_CACHE)}
 
 
 REPLICATED = ShardingSpec.replicated()
 
-#: (tensor shape, dp, mp) -> candidate list; candidate validity/normalization
-#: reads only the shape and the axis sizes, so twins share one enumeration
-_CANDIDATE_CACHE: dict[tuple, tuple[ShardingSpec, ...]] = {}
+#: candidate validity/normalization reads only the shape and the axis
+#: sizes, so twins share one enumeration
+_CANDIDATES = tier("parallel.candidate_specs",
+                   "(tensor shape, dp, mp)").entries
 
 
 def candidate_specs(spec: TensorSpec, mesh: LogicalMesh) -> list[ShardingSpec]:
@@ -196,7 +195,7 @@ def candidate_specs(spec: TensorSpec, mesh: LogicalMesh) -> list[ShardingSpec]:
     filtered; duplicates collapse when the tensor is rank-1.
     """
     ckey = (spec.shape, mesh.dp, mesh.mp)
-    cached = _CANDIDATE_CACHE.get(ckey)
+    cached = _CANDIDATES.get(ckey)
     if cached is not None:
         return list(cached)
     cands: list[ShardingSpec] = [REPLICATED]
@@ -220,7 +219,7 @@ def candidate_specs(spec: TensorSpec, mesh: LogicalMesh) -> list[ShardingSpec]:
             continue
         seen.add(c.assignments)
         out.append(c)
-    _CANDIDATE_CACHE[ckey] = tuple(out)
+    _CANDIDATES[ckey] = tuple(out)
     return out
 
 

@@ -48,8 +48,7 @@ from ..models.model import build_model as build_bench_model
 from ..nn import fastpath
 from ..predictors.base import LatencyPredictor
 from ..predictors.dataset import StageSample, make_batches
-from ..predictors.encoding_cache import (EncodingCache, compute_encoding,
-                                         global_encoding_cache)
+from ..predictors.encoding_cache import global_encoding_cache
 from ..predictors.trainer import TrainConfig
 from ..predictors.trust import EnsemblePredictor, TrustConfig
 from ..runtime.profiler import StageProfiler
@@ -72,19 +71,19 @@ def seed_mode():
 
     Reference autograd engine + per-forward mask builds
     (``fastpath.set_fast(False)``) and fresh per-call graph encodings
-    (every cache lookup swapped for :func:`compute_encoding`, global
-    cache dropped).  Restores the previous configuration on exit; the
-    fast side re-warms its cache.
+    (the encoding memo's lookup swapped for a plain compute, memo
+    dropped).  Restores the previous configuration on exit; the fast
+    side re-warms the memo.
     """
     prev_fast = fastpath.set_fast(False)
-    orig_get = EncodingCache.get
-    EncodingCache.get = lambda self, graph: compute_encoding(graph)
-    global_encoding_cache().clear()
+    memo = global_encoding_cache()
+    memo.get = lambda key, compute: compute()
+    memo.clear()
     try:
         yield
     finally:
         fastpath.set_fast(prev_fast)
-        EncodingCache.get = orig_get
+        del memo.get
 
 
 def seed_predict_many(ensemble: EnsemblePredictor, graphs

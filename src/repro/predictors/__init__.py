@@ -12,7 +12,6 @@ from .dataset import (
     split_dataset,
 )
 from .encoding_cache import (
-    EncodingCache,
     GraphEncoding,
     cached_encoding,
     global_encoding_cache,
@@ -36,7 +35,7 @@ from .trust import (
 __all__ = [
     "StageSample", "Normalizer", "DatasetSplit", "split_dataset",
     "Batch", "make_batches",
-    "EncodingCache", "GraphEncoding", "cached_encoding",
+    "GraphEncoding", "cached_encoding",
     "global_encoding_cache",
     "DAGTransformerModel", "DAGTransformerLayer", "GCNModel", "GATModel",
     "TrainConfig", "TrainResult", "train_model", "evaluate_loss",

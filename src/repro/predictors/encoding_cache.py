@@ -15,13 +15,13 @@ between all samples whose graphs are structurally identical; consumers
 (batch construction, normalizers) only ever read them.  A miss runs
 :func:`compute_encoding`, the same calls a fresh encoding makes, so the
 cache is bit-transparent; tests pin cached consumers against fresh
-encodings.
+encodings.  The memo is LRU-bounded at :data:`repro.memo.MEMO_BOUND`,
+because a serving daemon encodes every distinct graph its clients send.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +30,7 @@ from ..ir.features import graph_features
 from ..ir.graph import Graph
 from ..ir.reachability import node_depths, reachability_mask, undirected_adjacency
 from ..ir.serialize import canonical_hash
+from ..memo import MEMO_BOUND, Memo, tier
 
 
 @dataclass(frozen=True)
@@ -64,66 +65,15 @@ def compute_encoding(graph: Graph) -> GraphEncoding:
     return GraphEncoding(raw, feats, reach, depths, adj, adj_csr)
 
 
-@dataclass
-class EncodingCacheStats:
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+ENCODINGS = tier("predictors.encodings", "canonical graph hash",
+                 bound=MEMO_BOUND)
 
 
-@dataclass
-class EncodingCache:
-    """In-process memo of graph encodings keyed by canonical hash.
-
-    Thread-safe: the serving daemon's micro-batcher and executor threads
-    hit this cache concurrently.  Lookups and inserts hold a lock;
-    encoding computation runs outside it, so two threads racing on the
-    same cold key may both compute — the bundles are value-identical and
-    the second insert is a no-op, trading a rare duplicate encode for
-    never serializing the hot path.
-    """
-
-    _entries: dict[str, GraphEncoding] = field(default_factory=dict)
-    stats: EncodingCacheStats = field(default_factory=EncodingCacheStats)
-    _lock: threading.RLock = field(default_factory=threading.RLock,
-                                   repr=False)
-
-    def get(self, graph: Graph) -> GraphEncoding:
-        key = canonical_hash(graph)
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self.stats.hits += 1
-                return hit
-            self.stats.misses += 1
-        enc = compute_encoding(graph)
-        with self._lock:
-            return self._entries.setdefault(key, enc)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats = EncodingCacheStats()
+def global_encoding_cache() -> Memo:
+    return ENCODINGS
 
 
-_GLOBAL: EncodingCache | None = None
-
-
-def global_encoding_cache() -> EncodingCache:
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = EncodingCache()
-    return _GLOBAL
-
-
-def cached_encoding(graph: Graph) -> GraphEncoding:
-    """Encoding through the global cache."""
-    return global_encoding_cache().get(graph)
+def cached_encoding(graph: Graph, memo: Memo | None = None) -> GraphEncoding:
+    """Encoding through ``memo`` (the global encoding memo by default)."""
+    memo = ENCODINGS if memo is None else memo
+    return memo.get(canonical_hash(graph), lambda: compute_encoding(graph))

@@ -30,11 +30,11 @@ predictor (member 0 always uses the caller's exact seed and config).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..env import env_setting, flag
 from ..ir.graph import Graph
 from .base import LatencyPredictor, build_model
 from .dataset import Normalizer, StageSample
@@ -51,21 +51,6 @@ RETRY_SEED_OFFSET = 1009
 
 #: verdicts :func:`assess` can reach, most severe first
 VERDICTS = ("invalid", "ood", "uncertain", "out_of_bounds", "trusted")
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "on", "true",
-                                                        "yes")
-
-
-def _env_float(name: str, default: float) -> float:
-    env = os.environ.get(name, "")
-    if not env:
-        return default
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError(f"{name}={env!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -101,12 +86,13 @@ class TrustConfig:
     @staticmethod
     def from_env() -> "TrustConfig":
         return TrustConfig(
-            enabled=_env_flag("REPRO_TRUST"),
-            ensemble_size=max(1, int(_env_float("REPRO_TRUST_ENSEMBLE", 3))),
-            alpha=_env_float("REPRO_TRUST_ALPHA", DEFAULT_ALPHA),
-            cv_threshold=_env_float("REPRO_TRUST_CV", 0.5),
-            ood_threshold=_env_float("REPRO_TRUST_OOD", 0.25),
-            budget=_env_float("REPRO_TRUST_BUDGET", 0.0),
+            enabled=env_setting("REPRO_TRUST", False, flag),
+            ensemble_size=max(1, int(env_setting("REPRO_TRUST_ENSEMBLE",
+                                                 3))),
+            alpha=env_setting("REPRO_TRUST_ALPHA", DEFAULT_ALPHA),
+            cv_threshold=env_setting("REPRO_TRUST_CV", 0.5),
+            ood_threshold=env_setting("REPRO_TRUST_OOD", 0.25),
+            budget=env_setting("REPRO_TRUST_BUDGET", 0.0),
         )
 
 

@@ -25,6 +25,7 @@ from typing import Sequence
 from ..cluster.gpu import GPUSpec
 from ..ir.graph import Node, TensorSpec
 from ..ir.ops import node_bytes, node_flops, op_def
+from ..memo import tier
 
 #: Fraction of peak FLOP/s reached by non-GEMM categories (compute side).
 _CATEGORY_EFFICIENCY = {
@@ -103,7 +104,8 @@ def node_cost_key(node: Node, input_specs: Sequence[TensorSpec]) -> tuple:
             _freeze(node.params))
 
 
-_OP_TIME_CACHE: dict[tuple, float] = {}
+_OP_TIMES = tier("runtime.op_times",
+                 "(node cost key, GPU, shard factor)").entries
 
 
 def op_time_cached(
@@ -123,16 +125,11 @@ def op_time_cached(
     if key is None:
         key = node_cost_key(node, input_specs)
     ck = (key, gpu, shard_factor)
-    t = _OP_TIME_CACHE.get(ck)
+    t = _OP_TIMES.get(ck)
     if t is None:
         t = op_time(node, input_specs, gpu, shard_factor)
-        _OP_TIME_CACHE[ck] = t
+        _OP_TIMES[ck] = t
     return t
-
-
-def clear_op_time_cache() -> None:
-    """Drop the memo (tests and benchmarks)."""
-    _OP_TIME_CACHE.clear()
 
 
 def graph_flops(graph) -> float:

@@ -20,6 +20,7 @@ from ..ir.autodiff import build_training_graph
 from ..ir.fusion import fuse_elementwise
 from ..ir.graph import Graph
 from ..ir.pruning import prune_graph
+from ..memo import MEMO_BOUND, Memo
 from ..models.model import Model
 from ..parallel.plan_cache import cached_optimize_stage
 from .executor import StageProfile, execute_plan
@@ -69,41 +70,45 @@ class StageProfiler:
         self.fuse = fuse
         self.prune = prune
         self.aggressive_fusion = aggressive_fusion
-        self._cache: dict[tuple, ProfiledStage] = {}
+        self._profiles = Memo("runtime.profiles",
+                              "(start, end, microbatch, mesh, dp, mp)")
         #: traced-and-lowered graphs per ("pred"|"train", start, end, mb);
         #: tracing + pruning + fusion dominates repeat profiling of one
-        #: slice across meshes, and downstream caches (the intra-op solve
-        #: plans, the plan cache) key on the graph object or its hash, so
-        #: returning the same instance also keeps them warm
-        self._graphs: dict[tuple, Graph] = {}
+        #: slice across meshes, and downstream memos (the plan cache,
+        #: the graph signatures) key on the graph object or its hash, so
+        #: returning the same instance also keeps them warm.  Bounded: a
+        #: daemon client picks ``microbatch``
+        self.graphs = Memo("runtime.stage_graphs",
+                           "(pred|train, start, end, microbatch)",
+                           bound=MEMO_BOUND)
 
     # ------------------------------------------------------------ graph prep
     def predictor_graph(self, start: int, end: int,
                         microbatch: int | None = None) -> Graph:
         """The stage DAG the predictor consumes: forward, pruned, fused."""
         key = ("pred", start, end, microbatch)
-        g = self._graphs.get(key)
+        g = self.graphs.lookup(key)
         if g is None:
             g = self.model.stage_graph(start, end, microbatch)
             if self.prune:
                 g = prune_graph(g)
             if self.fuse:
                 g, _ = fuse_elementwise(g, self.aggressive_fusion)
-            self._graphs[key] = g
+            g = self.graphs.put(key, g)
         return g
 
     def training_graph(self, start: int, end: int,
                        microbatch: int | None = None) -> Graph:
         """The graph whose execution the profiler times (fwd+bwd+update)."""
         key = ("train", start, end, microbatch)
-        g = self._graphs.get(key)
+        g = self.graphs.lookup(key)
         if g is None:
             g = self.model.stage_graph(start, end, microbatch)
             g = prune_graph(g)
             g, _ = fuse_elementwise(g, self.aggressive_fusion)
             g = build_training_graph(
                 g, loss_to_scalar=(end == len(self.model.layers)))
-            self._graphs[key] = g
+            g = self.graphs.put(key, g)
         return g
 
     # -------------------------------------------------------------- profiling
@@ -118,7 +123,7 @@ class StageProfiler:
     ) -> ProfiledStage:
         """Measure one (stage slice, mesh, logical config)."""
         key = (start, end, microbatch, mesh.key(), dp, mp)
-        hit = self._cache.get(key)
+        hit = self._profiles.lookup(key)
         if hit is not None:
             return hit
         logical = mesh.logical(dp, mp)
@@ -138,8 +143,7 @@ class StageProfiler:
             profile=prof,
             profiling_cost=profiling_cost(len(tg), prof.latency),
         )
-        self._cache[key] = result
-        return result
+        return self._profiles.put(key, result)
 
     def prime(self, profiled: ProfiledStage,
               microbatch: int | None = None) -> None:
@@ -149,9 +153,9 @@ class StageProfiler:
         the parent's cache with the returned results keeps later serial
         lookups (plan scoring, ground-truth comparisons) free.
         """
-        key = (*profiled.layer_range, microbatch, profiled.mesh_key,
-               profiled.dp, profiled.mp)
-        self._cache.setdefault(key, profiled)
+        self._profiles.put((*profiled.layer_range, microbatch,
+                            profiled.mesh_key, profiled.dp, profiled.mp),
+                           profiled)
 
     def optimal_latency(self, start: int, end: int, mesh: DeviceMesh,
                         microbatch: int | None = None) -> tuple[float, tuple[int, int]]:

@@ -56,7 +56,8 @@ OP_SUMMARIES = {
     "predict_many": "batched predictions for many slices/graphs at once",
     "whatif": "predicted iteration latency across pipeline schedules",
     "search": "pipeline-depth plan search under the request deadline",
-    "health": "readiness/liveness, queue depth, breaker states, counters",
+    "health": "readiness/liveness, queue depth, breaker states, counters, "
+              "memo tiers",
 }
 
 ERROR_CODES = ("invalid_request", "unknown_op", "bad_params", "overloaded",

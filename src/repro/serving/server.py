@@ -38,11 +38,11 @@ import signal
 import socket
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .. import faults
 from ..experiments.manifest import append_event
+from ..memo import Memo, snapshot
 from .batcher import MicroBatcher, _Pending
 from .breaker import BreakerConfig, CircuitBreaker
 from .protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError,
@@ -158,8 +158,10 @@ class ReproServer:
             max(1, self.config.max_queue),
             weight_of=tenancy.weight_of,
             max_queued_of=tenancy.max_queued_of)
-        self._search_cache: OrderedDict[tuple, dict] = OrderedDict()
-        self._search_cache_lock = threading.Lock()
+        self.searches = Memo("serving.search",
+                             "(model hash, mesh, schedule, candidates, "
+                             "n_micro, generation)",
+                             bound=SEARCH_CACHE_SIZE)
         self._listen: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._conns: set[socket.socket] = set()
@@ -577,10 +579,7 @@ class ReproServer:
         # re-asking the same question); the structural key makes them
         # O(1) instead of a supervised fan-out
         key = self.runtime.search_key(candidates, n_micro, schedule)
-        with self._search_cache_lock:
-            cached = self._search_cache.get(key)
-            if cached is not None:
-                self._search_cache.move_to_end(key)
+        cached = self.searches.lookup(key)
         if cached is not None:
             self.counters.inc("search_cache_hits")
             return ok_response(req, dict(cached["result"], cached=True),
@@ -643,12 +642,8 @@ class ReproServer:
         if failed == 0 and not degraded:
             # only complete, undegraded answers are worth replaying; a
             # reload bumps the runtime generation and thus the key
-            with self._search_cache_lock:
-                self._search_cache[key] = {"result": result,
-                                           "degraded": degraded,
-                                           "served_by": served_by}
-                while len(self._search_cache) > SEARCH_CACHE_SIZE:
-                    self._search_cache.popitem(last=False)
+            self.searches.put(key, {"result": result, "degraded": degraded,
+                                    "served_by": served_by})
         return ok_response(req, result, degraded=degraded,
                            served_by=served_by)
 
@@ -684,6 +679,9 @@ class ReproServer:
             "breakers": {route: b.snapshot()
                          for route, b in self.breakers.items()},
             "counters": self.counters.snapshot(),
+            "caches": {**snapshot(),
+                       **{m.name: m.describe() for m in (
+                           self.searches, self.runtime.profiler.graphs)}},
             "runtime": self.runtime.describe(),
         }
 

@@ -47,6 +47,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from ..env import env_setting
+
 #: tenant class of requests that carry no ``tenant`` field (v1 clients)
 DEFAULT_TENANT = "default"
 
@@ -60,26 +62,6 @@ DEFAULT_OP_COSTS = {"predict": 1, "predict_many": 2, "whatif": 2,
 
 _POLICY_KEYS = ("rate", "burst", "max_inflight", "max_queued", "weight",
                 "op_costs")
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -121,16 +103,18 @@ class TenantPolicy:
     @classmethod
     def from_env(cls) -> "TenantPolicy":
         """Fleet-wide defaults from ``REPRO_TENANT_*`` (all unlimited
-        when unset, so the env-free daemon is behaviorally unchanged)."""
+        when unset, so the env-free daemon is behaviorally unchanged).
+        A malformed value raises :class:`ValueError` naming the variable
+        instead of reading as unlimited."""
         op_costs = {}
-        search_cost = _env_int("REPRO_TENANT_SEARCH_COST", 0)
+        search_cost = env_setting("REPRO_TENANT_SEARCH_COST", 0, int)
         if search_cost > 0:
             op_costs["search"] = search_cost
-        return cls(rate=_env_float("REPRO_TENANT_RATE", 0.0),
-                   burst=_env_float("REPRO_TENANT_BURST", 0.0),
-                   max_inflight=_env_int("REPRO_TENANT_INFLIGHT", 0),
-                   max_queued=_env_int("REPRO_TENANT_QUEUE", 0),
-                   weight=max(1, _env_int("REPRO_TENANT_WEIGHT", 1)),
+        return cls(rate=env_setting("REPRO_TENANT_RATE", 0.0),
+                   burst=env_setting("REPRO_TENANT_BURST", 0.0),
+                   max_inflight=env_setting("REPRO_TENANT_INFLIGHT", 0, int),
+                   max_queued=env_setting("REPRO_TENANT_QUEUE", 0, int),
+                   weight=max(1, env_setting("REPRO_TENANT_WEIGHT", 1, int)),
                    op_costs=op_costs)
 
 

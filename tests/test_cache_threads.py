@@ -11,8 +11,9 @@ import pytest
 
 from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.ir import GraphBuilder
-from repro.parallel.plan_cache import PlanCache
-from repro.predictors.encoding_cache import EncodingCache
+from repro.memo import Memo
+from repro.parallel.plan_cache import cached_optimize_stage
+from repro.predictors.encoding_cache import cached_encoding
 
 N_THREADS = 8
 ROUNDS = 30
@@ -50,15 +51,15 @@ def _hammer(fn):
 
 class TestEncodingCacheThreads:
     def test_concurrent_mixed_keys(self):
-        cache = EncodingCache()
+        cache = Memo("test.encodings", "canonical graph hash")
         # 4 distinct structures; name prefixes differ per thread, so
         # structural hashing must still collapse them to 4 entries
         widths = (8, 12, 16, 24)
-        reference = {w: cache.get(_mlp(w)) for w in widths}
+        reference = {w: cached_encoding(_mlp(w), cache) for w in widths}
 
         def step(tid, i):
             w = widths[(tid + i) % len(widths)]
-            enc = cache.get(_mlp(w, prefix=f"t{tid}_"))
+            enc = cached_encoding(_mlp(w, prefix=f"t{tid}_"), cache)
             ref = reference[w]
             assert enc is ref, "hits must share the cached bundle"
             assert not enc.features.flags.writeable
@@ -71,12 +72,12 @@ class TestEncodingCacheThreads:
     def test_cold_key_race_is_single_entry(self):
         """All threads race one cold key: duplicate computes are allowed,
         but exactly one bundle may be published and served."""
-        cache = EncodingCache()
+        cache = Memo("test.encodings", "canonical graph hash")
         seen = []
         lock = threading.Lock()
 
         def step(tid, i):
-            enc = cache.get(_mlp(64, prefix=f"t{tid}r{i}_"))
+            enc = cached_encoding(_mlp(64, prefix=f"t{tid}r{i}_"), cache)
             with lock:
                 seen.append(id(enc))
 
@@ -85,12 +86,13 @@ class TestEncodingCacheThreads:
         assert len(set(seen)) == 1
 
     def test_concurrent_clear_does_not_corrupt(self):
-        cache = EncodingCache()
+        cache = Memo("test.encodings", "canonical graph hash")
 
         def step(tid, i):
             if tid == 0 and i % 10 == 0:
                 cache.clear()
-            enc = cache.get(_mlp(8 + 4 * (i % 3), prefix=f"t{tid}_"))
+            enc = cached_encoding(_mlp(8 + 4 * (i % 3), prefix=f"t{tid}_"),
+                                  cache)
             assert enc.depths.dtype == np.int64
 
         _hammer(step)
@@ -103,16 +105,18 @@ class TestPlanCacheThreads:
         return DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(2, 1)
 
     def test_concurrent_solves_agree_with_serial(self, mesh):
-        cache = PlanCache()
+        cache = Memo("test.plans", "(graph hash, mesh key)")
         widths = (8, 16, 24)
-        expected = {w: cache.optimize(_mlp(w), mesh).estimated_time
-                    for w in widths}
+        expected = {
+            w: cached_optimize_stage(_mlp(w), mesh, cache).estimated_time
+            for w in widths}
         results = []
         lock = threading.Lock()
 
         def step(tid, i):
             w = widths[(tid + i) % len(widths)]
-            plan = cache.optimize(_mlp(w, prefix=f"t{tid}_"), mesh)
+            plan = cached_optimize_stage(_mlp(w, prefix=f"t{tid}_"), mesh,
+                                         cache)
             with lock:
                 results.append((w, plan.estimated_time))
 
@@ -122,13 +126,13 @@ class TestPlanCacheThreads:
             assert estimated == expected[w]
 
     def test_hit_rebinds_to_the_callers_graph(self, mesh):
-        cache = PlanCache()
+        cache = Memo("test.plans", "(graph hash, mesh key)")
         plans = []
         lock = threading.Lock()
 
         def step(tid, i):
             g = _mlp(32, prefix=f"t{tid}_")
-            plan = cache.optimize(g, mesh)
+            plan = cached_optimize_stage(g, mesh, cache)
             assert plan.graph is g
             with lock:
                 plans.append(plan.estimated_time)

@@ -74,6 +74,17 @@ class TestCommands:
             assert f"\n  {site}: " in out
         assert "exit codes:" in out
 
+    def test_info_lists_memo_tiers(self, capsys):
+        from repro.memo import MEMO_BOUND, snapshot
+
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        assert "in-process memo tiers" in out
+        for name, tier in snapshot().items():
+            assert f"\n  {name} [{tier['key']}]: bound " in out
+        assert f"predictors.encodings [canonical graph hash]: " \
+            f"bound {MEMO_BOUND}" in out
+
     def test_profile_runs(self, capsys):
         rc = main(["profile", "--family", "gpt", "--layers", "2",
                    "--mesh", "2", "--dp", "2", "--mp", "1",

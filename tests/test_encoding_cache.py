@@ -7,7 +7,8 @@ import pytest
 
 from repro.ir import GraphBuilder
 from repro.ir.serialize import canonical_hash
-from repro.predictors.encoding_cache import EncodingCache, compute_encoding
+from repro.memo import Memo
+from repro.predictors.encoding_cache import cached_encoding, compute_encoding
 
 
 def _chain(name: str, suffix: str = ""):
@@ -22,10 +23,10 @@ def _chain(name: str, suffix: str = ""):
 
 class TestEncodingCache:
     def test_hit_and_miss_accounting(self):
-        cache = EncodingCache()
+        cache = Memo("test.encodings", "canonical graph hash")
         g = _chain("a")
-        e1 = cache.get(g)
-        e2 = cache.get(g)
+        e1 = cached_encoding(g, cache)
+        e2 = cached_encoding(g, cache)
         assert e1 is e2
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
         assert cache.stats.hit_rate == 0.5
@@ -34,15 +35,15 @@ class TestEncodingCache:
     def test_structurally_identical_graphs_share_one_entry(self):
         """The key is the name-free canonical hash: two graphs that differ
         only in graph/node names share one frozen encoding bundle."""
-        cache = EncodingCache()
-        e1 = cache.get(_chain("a", "1"))
-        e2 = cache.get(_chain("b", "2"))
+        cache = Memo("test.encodings", "canonical graph hash")
+        e1 = cached_encoding(_chain("a", "1"), cache)
+        e2 = cached_encoding(_chain("b", "2"), cache)
         assert e1 is e2
         assert len(cache) == 1
 
     def test_cached_equals_fresh(self):
         g = _chain("a")
-        cached = EncodingCache().get(g)
+        cached = cached_encoding(g, Memo("test.encodings", "hash"))
         fresh = compute_encoding(g)
         assert np.array_equal(cached.raw_features, fresh.raw_features)
         assert np.array_equal(cached.features, fresh.features)
@@ -52,16 +53,16 @@ class TestEncodingCache:
         assert np.array_equal(cached.adj_csr.toarray(), fresh.adj_csr.toarray())
 
     def test_cached_arrays_are_frozen(self):
-        enc = EncodingCache().get(_chain("a"))
+        enc = cached_encoding(_chain("a"), Memo("test.encodings", "hash"))
         for a in (enc.raw_features, enc.features, enc.reach, enc.depths,
                   enc.adj, enc.adj_csr.data):
             with pytest.raises(ValueError):
                 a[...] = 0
 
     def test_clear_resets_entries_and_stats(self):
-        cache = EncodingCache()
-        cache.get(_chain("a"))
-        cache.get(_chain("a"))
+        cache = Memo("test.encodings", "canonical graph hash")
+        cached_encoding(_chain("a"), cache)
+        cached_encoding(_chain("a"), cache)
         cache.clear()
         assert len(cache) == 0
         assert (cache.stats.hits, cache.stats.misses) == (0, 0)

@@ -15,13 +15,12 @@ import pytest
 
 from repro.nn import fastpath
 from repro.predictors import (
-    EncodingCache,
     EnsemblePredictor,
     LatencyPredictor,
     StageSample,
     TrainConfig,
+    global_encoding_cache,
 )
-from repro.predictors.encoding_cache import compute_encoding
 
 CFG = TrainConfig(epochs=5, patience=5, batch_size=4, lr=2e-3, seed=0)
 
@@ -72,8 +71,8 @@ class TestEngineDifferential:
 
     def test_encoding_cache_bit_transparent(self, tiny_corpus, monkeypatch):
         fast_p, fast_r = _fit(tiny_corpus)
-        monkeypatch.setattr(EncodingCache, "get",
-                            lambda self, graph: compute_encoding(graph))
+        monkeypatch.setattr(global_encoding_cache(), "get",
+                            lambda key, compute: compute())
         off_p, off_r = _fit(tiny_corpus)
         assert fast_r.train_loss == off_r.train_loss
         _assert_state_equal(fast_p.model.state_dict(), off_p.model.state_dict())

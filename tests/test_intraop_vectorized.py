@@ -18,8 +18,8 @@ from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.cluster.mesh import logical_views
 from repro.ir import GraphBuilder
 from repro.ir.autodiff import build_training_graph
-from repro.parallel.intra_op import (clear_table_caches, optimize_stage,
-                                     optimize_stage_reference)
+from repro.memo import clear_all
+from repro.parallel.intra_op import optimize_stage, optimize_stage_reference
 from repro.runtime.executor import execute_plan
 
 from .test_intra_op_properties import MESHES, random_graph
@@ -79,14 +79,14 @@ class TestDifferential:
             for logical in logical_views(mesh):
                 assert_identical(tg, logical)
 
-    def test_solve_plan_reuse_is_stable(self, tiny_gpt_profiler):
-        """Repeat solves (prepared-plan cache hits) return identical
-        results, and clearing the caches does not change them."""
+    def test_repeat_and_cleared_solves_agree(self, tiny_gpt_profiler):
+        """Repeat solves (collapse-memo hits) return identical results,
+        and clearing the memos does not change them."""
         tg = tiny_gpt_profiler.training_graph(1, 2)
         mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(2, 1)
         first = optimize_stage(tg, mesh)
         second = optimize_stage(tg, mesh)
-        clear_table_caches()
+        clear_all()
         third = optimize_stage(tg, mesh)
         for other in (second, third):
             assert other.estimated_time == first.estimated_time

@@ -9,14 +9,11 @@ collapse memo's correctness is differential-tested separately in
 
 from __future__ import annotations
 
-from repro.ir import (GraphBuilder, communication_free_groups,
-                      context_signatures, propagation_free_chains,
-                      repeated_blocks)
-from repro.ir.structure import RepeatedBlock
+from repro.ir import GraphBuilder, context_signatures
 
 
 def chain_graph():
-    """x -> relu -> exp -> tanh -> out: one propagation-free chain."""
+    """x -> relu -> exp -> tanh -> out: a sequential chain."""
     b = GraphBuilder("chain")
     x = b.input("x", (8, 16))
     b.output(b.tanh(b.exp(b.relu(x))), "out")
@@ -98,20 +95,28 @@ class TestContextSignatures:
         assert s1[relu1] != s2[relu2]
 
 
+def sharing(sigs: list[int], nid: int) -> list[int]:
+    """Every node whose context signature equals ``nid``'s."""
+    return [i for i, s in enumerate(sigs) if s == sigs[nid]]
+
+
 class TestCommunicationFreeGroups:
+    """Nodes sharing a signature are the groups the collapse solves once."""
+
     def test_diamond_twins_grouped(self):
         g = diamond_graph()
-        groups = communication_free_groups(g)
+        sigs = context_signatures(g)
         mm = [n.id for n in g.nodes
               if n.node_type == "operator" and n.op == "dot_general"]
-        assert mm in groups  # the three Q/K/V matmuls collapse to one
+        assert sharing(sigs, mm[0]) == mm  # the three Q/K/V matmuls
         ws = [n.id for n in g.nodes
               if n.node_type == "literal" and n.out.shape == (8, 8)]
-        assert ws in groups  # so do their weights
+        assert sharing(sigs, ws[0]) == ws  # and their weights
 
     def test_chain_has_no_groups(self):
         """A pure sequential chain has no structural twins."""
-        assert communication_free_groups(chain_graph()) == []
+        sigs = context_signatures(chain_graph())
+        assert len(set(sigs)) == len(sigs)
 
     def test_repeated_layers_do_not_alias(self):
         """Stacked layers are *not* twins within one graph — each layer's
@@ -122,52 +127,3 @@ class TestCommunicationFreeGroups:
         mm = [n.id for n in g.nodes
               if n.node_type == "operator" and n.op == "dot_general"]
         assert len({sigs[i] for i in mm}) == len(mm)
-
-
-class TestPropagationFreeChains:
-    def test_elementwise_chain_detected(self):
-        g = chain_graph()
-        chains = propagation_free_chains(g, min_len=2)
-        assert len(chains) == 1
-        ops = [g.nodes[i].op for i in chains[0]]
-        assert all(g.nodes[i].node_type == "operator" for i in chains[0])
-        assert len(ops) >= 2
-
-    def test_chain_breaks_at_contraction(self):
-        g = diamond_graph()
-        for chain in propagation_free_chains(g, min_len=1):
-            assert all(g.nodes[i].op != "dot_general" for i in chain)
-
-    def test_chain_breaks_at_fanout(self):
-        b = GraphBuilder("fanout")
-        x = b.input("x", (8, 8))
-        h = b.relu(x)
-        b.output(b.add(b.exp(h), b.tanh(h)), "out")  # h feeds two ops
-        g = b.build()
-        for chain in propagation_free_chains(g, min_len=1):
-            # the relu's two consumers prevent it from chaining onward
-            relu = next(n.id for n in g.nodes
-                        if n.node_type == "operator" and n.op == "max")
-            assert chain[0] != relu or len(chain) == 1
-
-    def test_min_len_filters(self):
-        assert propagation_free_chains(chain_graph(), min_len=99) == []
-
-
-class TestRepeatedBlocks:
-    def test_stacked_layers_detected(self):
-        g = repeated_graph(4)
-        blocks = repeated_blocks(g)
-        assert blocks, "no repetition found in a 4x repeated stack"
-        best = max(blocks, key=lambda blk: blk.period * blk.count)
-        assert best.count >= 4
-
-    def test_block_nodes_range(self):
-        blk = RepeatedBlock(start=3, period=5, count=2)
-        assert list(blk.nodes) == list(range(3, 13))
-
-    def test_no_repetition_in_chain(self):
-        """A chain of all-distinct ops reports no multi-node blocks."""
-        g = chain_graph()
-        for blk in repeated_blocks(g):
-            assert blk.period * blk.count <= len(g)

@@ -7,8 +7,9 @@ import pytest
 from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.ir import GraphBuilder
 from repro.ir.serialize import canonical_graph_dict, canonical_hash
+from repro.memo import Memo
 from repro.parallel.intra_op import optimize_stage
-from repro.parallel.plan_cache import PlanCache
+from repro.parallel.plan_cache import cached_optimize_stage
 from repro.runtime.executor import execute_plan
 
 
@@ -63,9 +64,9 @@ class TestPlanCache:
         because the executor keys noise on the *caller's* graph — the same
         authoritative latency the DP would have produced for it."""
         twin_a, twin_b = _mlp("s[2:5]"), _mlp("s[3:6]")
-        cache = PlanCache()
-        pa = cache.optimize(twin_a, mesh)
-        pb = cache.optimize(twin_b, mesh)
+        cache = Memo("test.plans", "(graph hash, mesh key)")
+        pa = cached_optimize_stage(twin_a, mesh, cache)
+        pb = cached_optimize_stage(twin_b, mesh, cache)
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         direct = optimize_stage(twin_b, mesh)
         assert pb.estimated_time == direct.estimated_time
@@ -77,14 +78,14 @@ class TestPlanCache:
 
     def test_mesh_key_separates_entries(self, mesh):
         other = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
-        cache = PlanCache()
-        cache.optimize(_mlp("a"), mesh)
-        cache.optimize(_mlp("a"), other)
+        cache = Memo("test.plans", "(graph hash, mesh key)")
+        cached_optimize_stage(_mlp("a"), mesh, cache)
+        cached_optimize_stage(_mlp("a"), other, cache)
         assert cache.stats.misses == 2 and len(cache) == 2
 
     def test_clear_resets(self, mesh):
-        cache = PlanCache()
-        cache.optimize(_mlp("a"), mesh)
+        cache = Memo("test.plans", "(graph hash, mesh key)")
+        cached_optimize_stage(_mlp("a"), mesh, cache)
         cache.clear()
         assert len(cache) == 0 and cache.stats.misses == 0
 
@@ -100,8 +101,8 @@ class TestPlanCache:
         tg_b = tiny_gpt_profiler.training_graph(2, 3)
         assert canonical_hash(tg_a) == canonical_hash(tg_b)
         logical = mesh2.logical(2, 1)
-        pa = cache.optimize(tg_a, logical)
-        pb = cache.optimize(tg_b, logical)
+        pa = cached_optimize_stage(tg_a, logical, cache)
+        pb = cached_optimize_stage(tg_b, logical, cache)
         assert cache.stats.misses - m0 <= 1
         assert cache.stats.hits - h0 >= 1
         assert pa.estimated_time == pb.estimated_time

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictors import (
-    EncodingCache,
     Normalizer,
     StageSample,
+    global_encoding_cache,
     make_batches,
     split_dataset,
 )
-from repro.predictors.encoding_cache import compute_encoding
 
 
 class TestEncoding:
@@ -205,8 +204,8 @@ class TestBatchInvariants:
             return make_batches(samples, norm, 4)
 
         cached = build()
-        monkeypatch.setattr(EncodingCache, "get",
-                            lambda self, graph: compute_encoding(graph))
+        monkeypatch.setattr(global_encoding_cache(), "get",
+                            lambda key, compute: compute())
         fresh = build()
         assert len(cached) == len(fresh)
         for bc, bf in zip(cached, fresh):

@@ -71,6 +71,19 @@ class TestRouting:
         assert set(r["breakers"]) == {"predict", "whatif", "search"}
         assert r["queue"]["batch_capacity"] > 0
 
+    def test_health_reports_memo_tiers(self, client):
+        from repro.memo import MEMO_BOUND, snapshot
+        from repro.serving.server import SEARCH_CACHE_SIZE
+
+        caches = client.rpc({"op": "health", "id": "c"})["result"]["caches"]
+        assert set(snapshot()) < set(caches)
+        for tier in caches.values():
+            assert {"entries", "bound", "hits", "misses",
+                    "evictions"} <= set(tier)
+        assert caches["predictors.encodings"]["bound"] == MEMO_BOUND
+        assert caches["runtime.stage_graphs"]["bound"] == MEMO_BOUND
+        assert caches["serving.search"]["bound"] == SEARCH_CACHE_SIZE
+
     def test_predict(self, client):
         resp = client.rpc({"op": "predict", "id": 1,
                            "params": {"slice": [0, 2]}})

@@ -7,10 +7,10 @@ import threading
 import pytest
 
 from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
+from repro.memo import snapshot
 from repro.parallel.sharding import (REPLICATED, ShardingSpec, candidate_specs,
                                      intern_assignments, intern_spec,
-                                     intern_stats, normalized_spec, spec_by_id,
-                                     spec_id)
+                                     normalized_spec, spec_by_id, spec_id)
 
 
 def mesh22():
@@ -41,12 +41,12 @@ class TestInterning:
 
     def test_invalid_assignments_raise_and_are_not_cached(self):
         bad = ((0, "dp"), (0, "mp"))  # dim mapped twice
-        before = intern_stats()["specs"]
+        before = snapshot()["parallel.specs"]["entries"]
         with pytest.raises(ValueError):
             intern_assignments(bad)
         with pytest.raises(ValueError):  # still raises on retry
             intern_assignments(bad)
-        assert intern_stats()["specs"] == before
+        assert snapshot()["parallel.specs"]["entries"] == before
 
     def test_thread_safe_reuse(self):
         """Concurrent interning of one tuple yields a single instance."""
