@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster.mesh import DeviceMesh, logical_views
+from ..cluster.mesh import DeviceMesh
 from ..models.clustering import Clustering
 from ..models.model import Model
 from ..predictors.analytical import AnalyticalPredictor
@@ -132,13 +132,7 @@ class PredTOP:
                  mp: int | None) -> ProfiledStage:
         if dp is not None and mp is not None:
             return self.profiler.profile_stage(s, e, self.mesh, dp, mp)
-        best: ProfiledStage | None = None
-        for lv in logical_views(self.mesh):
-            p = self.profiler.profile_stage(s, e, self.mesh, lv.dp, lv.mp)
-            if best is None or p.latency < best.latency:
-                best = p
-        assert best is not None
-        return best
+        return self.profiler.best_profile(s, e, self.mesh)
 
     # ------------------------------------------------------------- phase 2
     def training_phase(self) -> LatencyPredictor | None:

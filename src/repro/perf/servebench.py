@@ -305,17 +305,13 @@ def _summarize(per_op: dict[str, list[float]]) -> dict:
 
 
 def _health(address: tuple[str, int]) -> dict | None:
+    from ..serving.server import read_line
+
     try:
-        sock = socket.create_connection(address, timeout=5.0)
-        sock.sendall(b'{"op": "health", "id": "bench-final"}\n')
-        buf = b""
-        while b"\n" not in buf:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return None
-            buf += chunk
-        sock.close()
-        return json.loads(buf.split(b"\n", 1)[0]).get("result")
+        with socket.create_connection(address, timeout=5.0) as sock:
+            sock.sendall(b'{"op": "health", "id": "bench-final"}\n')
+            line = read_line(sock, time.monotonic() + 5.0)
+        return None if line is None else json.loads(line).get("result")
     except (OSError, json.JSONDecodeError):
         return None
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cluster.mesh import DeviceMesh, LogicalMesh
+from ..cluster.mesh import DeviceMesh, logical_views
 from ..ir.autodiff import build_training_graph
 from ..ir.fusion import fuse_elementwise
 from ..ir.graph import Graph
@@ -157,14 +157,15 @@ class StageProfiler:
                             profiled.mesh_key, profiled.dp, profiled.mp),
                            profiled)
 
-    def optimal_latency(self, start: int, end: int, mesh: DeviceMesh,
-                        microbatch: int | None = None) -> tuple[float, tuple[int, int]]:
-        """Best latency over the mesh's logical views (Alpa intra-op output)."""
-        from ..cluster.mesh import logical_views
-
-        best, best_cfg = float("inf"), (1, 1)
+    def best_profile(self, start: int, end: int, mesh: DeviceMesh,
+                     microbatch: int | None = None) -> ProfiledStage:
+        """The stage profiled at its best logical view of ``mesh`` (what
+        Alpa's intra-op compiler would emit, §III); the first view with
+        a strictly lower latency wins."""
+        best: ProfiledStage | None = None
         for lv in logical_views(mesh):
             p = self.profile_stage(start, end, mesh, lv.dp, lv.mp, microbatch)
-            if p.latency < best:
-                best, best_cfg = p.latency, (lv.dp, lv.mp)
-        return best, best_cfg
+            if best is None or p.latency < best.latency:
+                best = p
+        assert best is not None
+        return best

@@ -7,8 +7,12 @@ The package layers, bottom up:
 * :mod:`.tenancy` — per-tenant admission budgets and fair queueing;
 * :mod:`.runtime` — the loaded-once predictor state every thread shares;
 * :mod:`.batcher` — the micro-batcher coalescing predictions;
-* :mod:`.server` — admission control, deadlines, lifecycle, the socket;
-* :mod:`.router` — the consistent-hash failover front-end over replicas.
+* :mod:`.server` — the one connection core (listener, accept loop,
+  framing, slow-loris/idle/size defences, drain), and the daemon on it:
+  admission control, deadlines, lifecycle;
+* :mod:`.router` — the consistent-hash failover front-end over replicas,
+  on the same connection core, so its hostile-client defences are the
+  daemon's.
 """
 
 from .breaker import BreakerConfig, CircuitBreaker

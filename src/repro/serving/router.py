@@ -23,6 +23,11 @@ the same JSON-lines protocol as the daemon.  It owns no model — it owns
 * **drain** — SIGTERM stops accepting, finishes in-flight requests, and
   answers late arrivals ``draining`` (same contract as the daemon).
 
+The router runs on the daemon's connection core
+(:class:`~repro.serving.server.ConnectionCore`), so its slow-loris, idle
+and size defences are the daemon's, counted under the same ``health``
+counters (``slowloris_reaped``, ``oversized_requests``).
+
 The router forwards request lines verbatim (tenant field included — the
 *replica's* admission controller enforces budgets) and relays exactly
 one response line per request, so v1 and v2 clients work unchanged.
@@ -33,15 +38,14 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import signal
 import socket
 import threading
 import time
 from dataclasses import dataclass
 
 from ..experiments.manifest import append_event
-from .protocol import MAX_LINE_BYTES, encode_response, error_response
-from .server import Counters
+from .protocol import error_response
+from .server import ConnectionCore, read_line
 from .tenancy import jittered_retry_ms
 
 
@@ -131,114 +135,45 @@ class _Replica:
         return f"{self.host}:{self.port}"
 
 
-class ReproRouter:
+class ReproRouter(ConnectionCore):
     """The fleet front-end: route, health-check, fail over, drain."""
+
+    THREAD_PREFIX = "repro-router"
 
     def __init__(self, replicas: list[tuple[str, int]],
                  config: RouterConfig | None = None,
                  journal_root=None) -> None:
         if not replicas:
             raise ValueError("a router needs at least one replica")
-        self.config = config or RouterConfig()
+        super().__init__(config or RouterConfig())
         self.journal_root = journal_root
         self.replicas = [_Replica(h, p) for h, p in replicas]
         self.ring = HashRing(replicas)
-        self.counters = Counters()
-        self._listen: socket.socket | None = None
-        self._conns: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
-        self._started = threading.Event()
-        self._stopping = threading.Event()
-        self._stopped = threading.Event()
-        self.draining = False
-        self._t0 = time.monotonic()
 
     # ------------------------------------------------------------- lifecycle
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._listen is not None, "router not started"
-        return self._listen.getsockname()[:2]
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
-
     def start(self) -> None:
         append_event(self.journal_root, "router_start",
                      replicas=[r.name for r in self.replicas])
-        self._t0 = time.monotonic()
-        self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listen.bind((self.config.host, self.config.port))
-        self._listen.listen(128)
-        self._listen.settimeout(0.25)
-        for target, name in ((self._accept_loop, "repro-router-accept"),
-                             (self._health_loop, "repro-router-health")):
-            t = threading.Thread(target=target, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
-        self._started.set()
+        super().start()
 
-    def request_stop(self) -> None:
-        self._stopping.set()
+    def _start_workers(self) -> None:
+        self._spawn(self._health_loop, "health")
 
     def stop(self) -> None:
         if self._stopped.is_set():
             return
-        self.request_stop()
-        self.draining = True
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                if self._inflight == 0:
-                    break
-            time.sleep(0.05)
-        self._stopped.set()
-        if self._listen is not None:
-            try:
-                self._listen.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        super().stop()
         append_event(self.journal_root, "router_stop",
                      uptime_s=round(time.monotonic() - self._t0, 3),
                      counters=self.counters.snapshot())
 
-    def serve_forever(self, install_signals: bool = True) -> int:
-        if not self._started.is_set():
-            self.start()
-        if (install_signals
-                and threading.current_thread() is threading.main_thread()):
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                signal.signal(sig, lambda *_: self.request_stop())
-        while not self._stopping.is_set():
-            time.sleep(0.1)
-        self.stop()
-        return 0
-
     # --------------------------------------------------------------- health
     def _probe(self, replica: _Replica) -> bool:
+        line = self._ask(replica, b'{"op": "health", "deadline_ms": 500}\n',
+                         self.config.connect_timeout_s)
         try:
-            with socket.create_connection(
-                    (replica.host, replica.port),
-                    timeout=self.config.connect_timeout_s) as sock:
-                sock.sendall(b'{"op": "health", "deadline_ms": 500}\n')
-                sock.settimeout(self.config.connect_timeout_s)
-                line = _read_line(sock, time.monotonic()
-                                  + self.config.connect_timeout_s)
-                if line is None:
-                    return False
-                return bool(json.loads(line).get("ok"))
-        except (OSError, ValueError):
+            return line is not None and bool(json.loads(line).get("ok"))
+        except ValueError:
             return False
 
     def _mark(self, replica: _Replica, healthy: bool, cause: str) -> None:
@@ -257,97 +192,6 @@ class ReproRouter:
             for replica in self.replicas:
                 self._mark(replica, self._probe(replica), "probe")
             self._stopping.wait(self.config.health_poll_s)
-
-    # ----------------------------------------------------------- connections
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._listen.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._conn_lock:
-                too_many = len(self._conns) >= self.config.max_connections
-                if not too_many:
-                    self._conns.add(conn)
-            if too_many:
-                self.counters.inc("connections_refused")
-                try:
-                    conn.sendall(encode_response(error_response(
-                        None, "overloaded", "connection limit reached",
-                        retry_after_ms=self.config.retry_after_ms * 4)))
-                    conn.close()
-                except OSError:
-                    pass
-                continue
-            self.counters.inc("connections")
-            t = threading.Thread(target=self._connection_loop, args=(conn,),
-                                 name="repro-router-conn", daemon=True)
-            t.start()
-
-    def _connection_loop(self, conn: socket.socket) -> None:
-        # replies leave as soon as they are written (Nagle off; see
-        # ReproServer._connection_loop)
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn.settimeout(0.25)
-        buf = b""
-        last_byte = time.monotonic()
-        try:
-            while not self._stopped.is_set():
-                try:
-                    chunk = conn.recv(65536)
-                except socket.timeout:
-                    now = time.monotonic()
-                    if buf and now - last_byte > self.config.read_timeout_s:
-                        self._send(conn, error_response(
-                            None, "invalid_request",
-                            f"request incomplete after "
-                            f"{self.config.read_timeout_s:.1f}s"))
-                        return
-                    if (not buf
-                            and now - last_byte > self.config.idle_timeout_s):
-                        return
-                    continue
-                except OSError:
-                    return
-                if not chunk:
-                    return
-                last_byte = time.monotonic()
-                buf += chunk
-                if len(buf) > MAX_LINE_BYTES:
-                    self._send(conn, error_response(
-                        None, "invalid_request",
-                        f"request exceeds {MAX_LINE_BYTES} bytes"))
-                    return
-                while b"\n" in buf:
-                    line, buf = buf.split(b"\n", 1)
-                    if not line.strip():
-                        continue
-                    self._handle_line(conn, line)
-        finally:
-            with self._conn_lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _send(self, conn: socket.socket, response: dict) -> bool:
-        try:
-            conn.sendall(encode_response(response))
-            return True
-        except OSError:
-            self.counters.inc("client_gone")
-            return False
-
-    def _send_raw(self, conn: socket.socket, line: bytes) -> bool:
-        try:
-            conn.sendall(line if line.endswith(b"\n") else line + b"\n")
-            return True
-        except OSError:
-            self.counters.inc("client_gone")
-            return False
 
     # ---------------------------------------------------------------- routing
     @staticmethod
@@ -384,8 +228,7 @@ class ReproRouter:
                     1000.0, "router-draining", req_id,
                     self.counters.get("refused_draining"))))
             return
-        with self._inflight_lock:
-            self._inflight += 1
+        self._enter()
         try:
             response_line = self._forward(line, req_id, op, deadline_ms)
             if response_line is None:
@@ -398,10 +241,9 @@ class ReproRouter:
                         req_id, self.counters.get("accepted"))))
             else:
                 self.counters.inc("answered")
-                self._send_raw(conn, response_line)
+                self._send(conn, response_line)
         finally:
-            with self._inflight_lock:
-                self._inflight -= 1
+            self._exit()
 
     def _forward(self, line: bytes, req_id, op,
                  deadline_ms: float) -> bytes | None:
@@ -446,14 +288,13 @@ class ReproRouter:
                     timeout=self.config.connect_timeout_s) as sock:
                 sock.sendall(line if line.endswith(b"\n") else line + b"\n")
                 sock.settimeout(0.25)
-                return _read_line(sock, time.monotonic() + budget_s)
+                return read_line(sock, time.monotonic() + budget_s)
         except OSError:
             return None
 
     # ---------------------------------------------------------------- health
     def _health(self) -> dict:
-        status = ("draining" if self.draining
-                  else "ready" if self._started.is_set() else "starting")
+        status = self._status()
         healthy = [r.name for r in self.replicas if r.healthy]
         return {
             "status": status,
@@ -469,22 +310,3 @@ class ReproRouter:
             "counters": self.counters.snapshot(),
         }
 
-
-def _read_line(sock: socket.socket, deadline: float) -> bytes | None:
-    """Read one ``\\n``-terminated line, or ``None`` on EOF/timeout."""
-    buf = b""
-    while time.monotonic() < deadline:
-        try:
-            chunk = sock.recv(65536)
-        except socket.timeout:
-            continue
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        buf += chunk
-        if b"\n" in buf:
-            return buf.split(b"\n", 1)[0] + b"\n"
-        if len(buf) > MAX_LINE_BYTES:
-            return None
-    return None

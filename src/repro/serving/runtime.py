@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import faults
-from ..cluster.mesh import DeviceMesh, logical_views
+from ..cluster.mesh import DeviceMesh
 from ..cluster.platforms import MESH_CONFIGS, PLATFORMS, get_platform
 from ..core.sampling import stratified_sample
 from ..ir.graph import Graph
@@ -128,14 +128,7 @@ class PredictorRuntime:
 
         slices = stratified_sample(clustering.all_slices(),
                                    cfg.sample_fraction, cfg.seed)
-        profiled = []
-        for (s, e) in slices:
-            best = None
-            for lv in logical_views(mesh):
-                p = profiler.profile_stage(s, e, mesh, lv.dp, lv.mp)
-                if best is None or p.latency < best.latency:
-                    best = p
-            profiled.append(best)
+        profiled = [profiler.best_profile(s, e, mesh) for s, e in slices]
         samples = [StageSample(p.graph, p.latency, p.stage_id)
                    for p in profiled]
         analytical = AnalyticalPredictor(mesh.gpu)

@@ -25,10 +25,17 @@ A threaded JSON-lines TCP server wrapping one
   watcher reloads ``--checkpoint`` files in place when they change,
   keeping the old ensemble on a torn load.
 
-Slow-loris defense: a connection that dribbles a partial request slower
-than ``read_timeout_s`` is reaped; request lines are capped at
-``MAX_LINE_BYTES``.  Malformed payloads get an error *response* — the
-connection survives.
+The socket front end is :class:`ConnectionCore`, the one connection core
+the daemon and the replica router (:mod:`repro.serving.router`) both run
+on: the listener, the accept loop with its ``max_connections`` refusal,
+one thread per connection with Nagle off, newline framing, drain, and
+``serve_forever``.  Its hostile-client defences are the same for both:
+a connection that dribbles a partial request slower than
+``read_timeout_s`` is reaped (``slowloris_reaped``), an idle one after
+``idle_timeout_s``, and a request line longer than ``MAX_LINE_BYTES`` is
+refused (``oversized_requests``).  The cap applies per line, so
+requests pipelined behind a large one are still served.  Malformed
+payloads get an error *response* — the connection survives.
 """
 
 from __future__ import annotations
@@ -114,64 +121,31 @@ class Counters:
             return dict(sorted(self._values.items()))
 
 
-class _Job:
-    """One queued executor request plus its reply slot."""
+class ConnectionCore:
+    """The JSON-lines socket front end of the daemon and the router.
 
-    __slots__ = ("request", "done", "response")
+    It owns the listener, the accept loop, one thread per connection,
+    the in-flight gauge, drain, and ``serve_forever``.  A subclass
+    supplies :meth:`_handle_line` (answer one request line), its
+    drain-idle condition (:meth:`_idle`), the threads it runs beside the
+    accept loop (:meth:`_start_workers`), and what its ``start`` and
+    ``stop`` do besides (``stop`` is :meth:`_drain`, then
+    :meth:`_close`).  ``config`` needs ``host``, ``port``,
+    ``max_connections``, ``retry_after_ms``, ``read_timeout_s``,
+    ``idle_timeout_s`` and ``drain_timeout_s``.
+    """
 
-    def __init__(self, request: Request) -> None:
-        self.request = request
-        self.done = threading.Event()
-        self.response: dict | None = None
+    #: thread names are ``<prefix>-accept``, ``<prefix>-conn``, ...
+    THREAD_PREFIX = "repro-serve"
 
-    def resolve(self, response: dict) -> None:
-        self.response = response
-        self.done.set()
-
-
-class ReproServer:
-    """The daemon: one runtime, many connections, bounded work."""
-
-    def __init__(self, runtime: PredictorRuntime,
-                 config: ServerConfig | None = None,
-                 journal_root=None) -> None:
-        self.runtime = runtime
-        self.config = config or ServerConfig()
-        self.journal_root = journal_root
+    def __init__(self, config) -> None:
+        self.config = config
         self.counters = Counters()
-        self.breakers = {
-            route: CircuitBreaker(route, self.config.breaker,
-                                  journal_root=journal_root)
-            for route in ("predict", "whatif", "search")
-        }
-        tenancy = (self.config.tenancy if self.config.tenancy is not None
-                   else TenancyConfig.from_env())
-        self.admission = AdmissionController(tenancy,
-                                             journal_root=journal_root)
-        self.batcher = MicroBatcher(
-            runtime, self.breakers["predict"],
-            max_batch=self.config.max_batch,
-            max_queue=self.config.max_batch_queue,
-            weight_of=tenancy.weight_of,
-            max_queued_of=tenancy.max_queued_of)
-        self._exec_queue: FairQueue = FairQueue(
-            max(1, self.config.max_queue),
-            weight_of=tenancy.weight_of,
-            max_queued_of=tenancy.max_queued_of)
-        self.searches = Memo("serving.search",
-                             "(model hash, mesh, schedule, candidates, "
-                             "n_micro, generation)",
-                             bound=SEARCH_CACHE_SIZE)
         self._listen: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
         self._conns: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        self._consecutive_sheds = 0
-        #: stable callable identity for the engine's persistent pool
-        self._search_task = runtime.evaluate_candidate
-        self._search_lock = threading.Lock()
         self._started = threading.Event()
         self._stopping = threading.Event()
         self._stopped = threading.Event()
@@ -181,7 +155,7 @@ class ReproServer:
     # ------------------------------------------------------------- lifecycle
     @property
     def address(self) -> tuple[str, int]:
-        assert self._listen is not None, "server not started"
+        assert self._listen is not None, "not started"
         return self._listen.getsockname()[:2]
 
     @property
@@ -189,112 +163,27 @@ class ReproServer:
         return self.address[1]
 
     def start(self) -> None:
-        """Bind, spawn the worker threads, and become ready."""
-        from ..experiments.cache import global_cache
-
-        append_event(self.journal_root, "serve_start", pid=os.getpid(),
-                     runtime=self.runtime.describe())
-        # startup hygiene: reap orphaned temp/lock files, surface any
-        # quarantined shards (corrupted results must be visible, not
-        # silently rebuilt behind the daemon's back)
-        cache = global_cache()
-        if cache.root is not None:
-            reaped = cache.reap_stale()
-            quarantined = [str(p) for p in cache.quarantined()]
-            if reaped or quarantined:
-                append_event(self.journal_root, "serve_hygiene",
-                             reaped=reaped, quarantined=quarantined)
+        """Bind, start the subclass's workers, then accept."""
         self._t0 = time.monotonic()
         self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listen.bind((self.config.host, self.config.port))
         self._listen.listen(128)
         self._listen.settimeout(0.25)
-        self.batcher.start()
-        for i in range(max(1, self.config.workers)):
-            t = threading.Thread(target=self._executor_loop,
-                                 name=f"repro-serve-exec-{i}", daemon=True)
-            t.start()
-            self._threads.append(t)
-        t = threading.Thread(target=self._accept_loop,
-                             name="repro-serve-accept", daemon=True)
-        t.start()
-        self._threads.append(t)
-        if (self.config.reload_poll_s > 0
-                and self.runtime.config.checkpoints):
-            t = threading.Thread(target=self._reload_loop,
-                                 name="repro-serve-reload", daemon=True)
-            t.start()
-            self._threads.append(t)
+        self._start_workers()
+        self._spawn(self._accept_loop, "accept")
         self._started.set()
-        append_event(self.journal_root, "serve_ready",
-                     host=self.address[0], port=self.port)
+
+    def _start_workers(self) -> None:
+        """Start the threads that run beside the accept loop."""
+
+    def _spawn(self, target, name: str, *args) -> None:
+        threading.Thread(target=target, args=args, daemon=True,
+                         name=f"{self.THREAD_PREFIX}-{name}").start()
 
     def request_stop(self) -> None:
         """Begin a graceful drain (idempotent, signal-safe)."""
         self._stopping.set()
-
-    def stop(self) -> None:
-        """Drain and shut down: refuse new work, finish in-flight."""
-        if self._stopped.is_set():
-            return
-        self.request_stop()
-        self.draining = True
-        append_event(self.journal_root, "serve_drain",
-                     inflight=self._inflight,
-                     exec_depth=self._exec_queue.qsize(),
-                     batch_depth=self.batcher.depth)
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                idle = (self._inflight == 0
-                        and self._exec_queue.empty()
-                        and self.batcher.depth == 0)
-            if idle:
-                break
-            time.sleep(0.05)
-        self.batcher.stop()
-        self._exec_queue.close()
-        self._stopped.set()
-        if self._listen is not None:
-            try:
-                self._listen.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self.admission.journal_snapshot(self._queue_depths())
-        append_event(self.journal_root, "serve_stop",
-                     uptime_s=round(time.monotonic() - self._t0, 3),
-                     counters=self.counters.snapshot())
-
-    def kill(self) -> None:
-        """Hard stop *without* drain — the in-process stand-in for a
-        replica crash (``replica_down`` chaos): the listener and every
-        live connection drop mid-flight, exactly what the router's
-        failover path must absorb."""
-        self._stopping.set()
-        self._stopped.set()
-        if self._listen is not None:
-            try:
-                self._listen.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._exec_queue.close()
-        self.batcher.stop(drain_timeout=1.0)
 
     def serve_forever(self, install_signals: bool = True) -> int:
         """Run until SIGTERM/SIGINT (or :meth:`request_stop`), drain,
@@ -310,7 +199,51 @@ class ReproServer:
         self.stop()
         return 0
 
-    # ----------------------------------------------------------- accept loop
+    def stop(self) -> None:
+        """Drain, then close every socket."""
+        if self._stopped.is_set():
+            return
+        self._drain()
+        self._close()
+
+    def _drain(self) -> None:
+        """Stop accepting, answer new work ``draining``, and wait up to
+        ``drain_timeout_s`` for :meth:`_idle`."""
+        self.request_stop()
+        self.draining = True
+        deadline = time.monotonic() + self.config.drain_timeout_s
+        while time.monotonic() < deadline and not self._idle():
+            time.sleep(0.05)
+
+    def _idle(self) -> bool:
+        """Whether nothing is left to drain."""
+        with self._inflight_lock:
+            return self._inflight == 0
+
+    def _close(self) -> None:
+        """Close the listener and every live connection, mid-flight or
+        not (the socket teardown a drained stop and a hard kill share)."""
+        self._stopping.set()
+        self._stopped.set()
+        if self._listen is not None:
+            try:
+                self._listen.close()
+            except OSError:
+                pass
+        with self._conn_lock:
+            conns = list(self._conns)
+            self._conns.clear()
+        for conn in conns:
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+    def _status(self) -> str:
+        return ("draining" if self.draining
+                else "ready" if self._started.is_set() else "starting")
+
+    # ----------------------------------------------------------- connections
     def _accept_loop(self) -> None:
         while not self._stopping.is_set():
             try:
@@ -334,22 +267,19 @@ class ReproServer:
                     pass
                 continue
             self.counters.inc("connections")
-            t = threading.Thread(target=self._connection_loop, args=(conn,),
-                                 name="repro-serve-conn", daemon=True)
-            t.start()
+            self._spawn(self._connection_loop, "conn", conn)
 
-    # ------------------------------------------------------- connection loop
     def _connection_loop(self, conn: socket.socket) -> None:
-        # replies leave as soon as they are written.  Under Nagle, a reply
-        # written while the previous one is unacknowledged waits for that
-        # ACK, which a delayed-ACK client sends only with its next request:
-        # one late reply locks an open-loop client into every reply coming
-        # a full request interval late.
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn.settimeout(0.25)
         buf = b""
         last_byte = time.monotonic()
         try:
+            # replies leave as soon as they are written.  Under Nagle, a
+            # reply written while the previous one is unacknowledged waits
+            # for that ACK, which a delayed-ACK client sends only with its
+            # next request: one late reply locks an open-loop client into
+            # every reply coming a full request interval late.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(0.25)
             while not self._stopped.is_set():
                 try:
                     chunk = conn.recv(65536)
@@ -367,23 +297,22 @@ class ReproServer:
                             and now - last_byte > self.config.idle_timeout_s):
                         return
                     continue
-                except OSError:
-                    return
                 if not chunk:
                     return  # peer closed (conn_drop lands here)
                 last_byte = time.monotonic()
-                buf += chunk
+                # complete lines are answered before the next read, so
+                # only the pending partial line (bounded by the cap) and
+                # one read are ever buffered
+                *lines, buf = (buf + chunk).split(b"\n")
+                for line in lines:
+                    if len(line) > MAX_LINE_BYTES:
+                        return self._refuse_oversized(conn)
+                    if line.strip():
+                        self._handle_line(conn, line)
                 if len(buf) > MAX_LINE_BYTES:
-                    self.counters.inc("oversized_requests")
-                    self._send(conn, error_response(
-                        None, "invalid_request",
-                        f"request exceeds {MAX_LINE_BYTES} bytes"))
-                    return
-                while b"\n" in buf:
-                    line, buf = buf.split(b"\n", 1)
-                    if not line.strip():
-                        continue
-                    self._handle_line(conn, line)
+                    return self._refuse_oversized(conn)
+        except OSError:
+            pass  # reset by the peer, or closed by a stop or kill
         finally:
             with self._conn_lock:
                 self._conns.discard(conn)
@@ -392,9 +321,21 @@ class ReproServer:
             except OSError:
                 pass
 
-    def _send(self, conn: socket.socket, response: dict) -> bool:
+    def _refuse_oversized(self, conn: socket.socket) -> None:
+        self.counters.inc("oversized_requests")
+        self._send(conn, error_response(
+            None, "invalid_request",
+            f"request exceeds {MAX_LINE_BYTES} bytes"))
+
+    def _handle_line(self, conn: socket.socket, line: bytes) -> None:
+        """Answer one request line on ``conn``."""
+        raise NotImplementedError
+
+    def _send(self, conn: socket.socket, reply: dict | bytes) -> bool:
+        """Write one response (a dict, or an already encoded line)."""
         try:
-            conn.sendall(encode_response(response))
+            conn.sendall(reply if isinstance(reply, bytes)
+                         else encode_response(reply))
             return True
         except OSError:
             # the client vanished mid-reply; the answer was produced, so
@@ -410,6 +351,141 @@ class ReproServer:
         with self._inflight_lock:
             self._inflight -= 1
 
+
+def read_line(sock: socket.socket, deadline: float) -> bytes | None:
+    """Read one ``\\n``-terminated line from ``sock`` by the monotonic
+    ``deadline``, or ``None`` on EOF, error, timeout or an over-cap line.
+    ``sock`` should carry a short timeout so the deadline is checked."""
+    buf = b""
+    while time.monotonic() < deadline:
+        try:
+            chunk = sock.recv(65536)
+        except socket.timeout:
+            continue
+        except OSError:
+            return None
+        if not chunk:
+            return None
+        buf += chunk
+        if b"\n" in buf:
+            return buf.split(b"\n", 1)[0] + b"\n"
+        if len(buf) > MAX_LINE_BYTES:
+            return None
+    return None
+
+
+class _Job:
+    """One queued executor request plus its reply slot."""
+
+    __slots__ = ("request", "done", "response")
+
+    def __init__(self, request: Request) -> None:
+        self.request = request
+        self.done = threading.Event()
+        self.response: dict | None = None
+
+    def resolve(self, response: dict) -> None:
+        self.response = response
+        self.done.set()
+
+
+class ReproServer(ConnectionCore):
+    """The daemon: one runtime, many connections, bounded work."""
+
+    def __init__(self, runtime: PredictorRuntime,
+                 config: ServerConfig | None = None,
+                 journal_root=None) -> None:
+        super().__init__(config or ServerConfig())
+        self.runtime = runtime
+        self.journal_root = journal_root
+        self.breakers = {
+            route: CircuitBreaker(route, self.config.breaker,
+                                  journal_root=journal_root)
+            for route in ("predict", "whatif", "search")
+        }
+        tenancy = (self.config.tenancy if self.config.tenancy is not None
+                   else TenancyConfig.from_env())
+        self.admission = AdmissionController(tenancy,
+                                             journal_root=journal_root)
+        self.batcher = MicroBatcher(
+            runtime, self.breakers["predict"],
+            max_batch=self.config.max_batch,
+            max_queue=self.config.max_batch_queue,
+            weight_of=tenancy.weight_of,
+            max_queued_of=tenancy.max_queued_of)
+        self._exec_queue: FairQueue = FairQueue(
+            max(1, self.config.max_queue),
+            weight_of=tenancy.weight_of,
+            max_queued_of=tenancy.max_queued_of)
+        self.searches = Memo("serving.search",
+                             "(model hash, mesh, schedule, candidates, "
+                             "n_micro, generation)",
+                             bound=SEARCH_CACHE_SIZE)
+        self._consecutive_sheds = 0
+        #: stable callable identity for the engine's persistent pool
+        self._search_task = runtime.evaluate_candidate
+        self._search_lock = threading.Lock()
+
+    # ------------------------------------------------------------- lifecycle
+    def start(self) -> None:
+        """Bind, spawn the worker threads, and become ready."""
+        from ..experiments.cache import global_cache
+
+        append_event(self.journal_root, "serve_start", pid=os.getpid(),
+                     runtime=self.runtime.describe())
+        # startup hygiene: reap orphaned temp/lock files, surface any
+        # quarantined shards (corrupted results must be visible, not
+        # silently rebuilt behind the daemon's back)
+        cache = global_cache()
+        if cache.root is not None:
+            reaped = cache.reap_stale()
+            quarantined = [str(p) for p in cache.quarantined()]
+            if reaped or quarantined:
+                append_event(self.journal_root, "serve_hygiene",
+                             reaped=reaped, quarantined=quarantined)
+        super().start()
+        append_event(self.journal_root, "serve_ready",
+                     host=self.address[0], port=self.port)
+
+    def _start_workers(self) -> None:
+        self.batcher.start()
+        for i in range(max(1, self.config.workers)):
+            self._spawn(self._executor_loop, f"exec-{i}")
+        if (self.config.reload_poll_s > 0
+                and self.runtime.config.checkpoints):
+            self._spawn(self._reload_loop, "reload")
+
+    def stop(self) -> None:
+        """Drain and shut down: refuse new work, finish in-flight."""
+        if self._stopped.is_set():
+            return
+        append_event(self.journal_root, "serve_drain",
+                     inflight=self._inflight,
+                     exec_depth=self._exec_queue.qsize(),
+                     batch_depth=self.batcher.depth)
+        self._drain()
+        self.batcher.stop()
+        self._exec_queue.close()
+        self._close()
+        self.admission.journal_snapshot(self._queue_depths())
+        append_event(self.journal_root, "serve_stop",
+                     uptime_s=round(time.monotonic() - self._t0, 3),
+                     counters=self.counters.snapshot())
+
+    def _idle(self) -> bool:
+        return (super()._idle() and self._exec_queue.empty()
+                and self.batcher.depth == 0)
+
+    def kill(self) -> None:
+        """Hard stop *without* drain — the in-process stand-in for a
+        replica crash (``replica_down`` chaos): the listener and every
+        live connection drop mid-flight, exactly what the router's
+        failover path must absorb."""
+        self._close()
+        self._exec_queue.close()
+        self.batcher.stop(drain_timeout=1.0)
+
+    # -------------------------------------------------------------- requests
     def _handle_line(self, conn: socket.socket, line: bytes) -> None:
         try:
             req = parse_request(line, self.config.default_deadline_ms)
@@ -653,8 +729,7 @@ class ReproServer:
                 "batcher": self.batcher.depths()}
 
     def _health(self) -> dict:
-        status = ("draining" if self.draining
-                  else "ready" if self._started.is_set() else "starting")
+        status = self._status()
         return {
             "status": status,
             "ready": status == "ready",

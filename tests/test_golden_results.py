@@ -12,7 +12,10 @@ tiers:
   golden job or before cutting a release).
 
 All recomputes run with ``REPRO_CACHE=off`` so they cannot be satisfied
-by — or polluted with — cached cells.
+by — or polluted with — cached cells.  The Table 5 values depend on the
+BLAS thread count, so run the ``REPRO_GOLDEN=1`` tier with
+``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1`` (as CI's
+golden job does).
 """
 
 from __future__ import annotations

@@ -148,7 +148,7 @@ class TestProfiler:
 
     def test_optimal_latency_at_least_as_good_as_any_view(
             self, tiny_gpt_profiler, mesh2):
-        best, cfg = tiny_gpt_profiler.optimal_latency(1, 3, mesh2)
+        best = tiny_gpt_profiler.best_profile(1, 3, mesh2).latency
         for dp, mp in [(2, 1), (1, 2), (1, 1)]:
             if dp * mp != mesh2.num_devices and (dp, mp) != (1, 1):
                 continue
