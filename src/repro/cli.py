@@ -7,12 +7,13 @@ Commands:
 * ``predict``  — train a predictor on sampled stages and predict them all
   (optionally persisting the trained predictor);
 * ``search``   — run the plan-search use case with a chosen approach;
-* ``bench``    — regenerate Table V/VI or Fig-10 artifacts through the
-  fault-tolerant experiment engine (``--jobs`` / ``REPRO_JOBS`` workers,
-  ``--timeout`` / ``--retries`` supervision knobs); ``bench report``
-  summarizes the run-manifest journal (attempts, retries, failures,
-  quarantines, breaker transitions) of previous runs; ``bench serve``
-  load-tests the serving daemon and writes ``BENCH_serve.json``;
+* ``bench``    — regenerate Table V/VI, Fig-10 or schedule-grid artifacts
+  through the fault-tolerant experiment engine (``--jobs`` /
+  ``REPRO_JOBS`` workers, ``--timeout`` / ``--retries`` supervision
+  knobs); ``bench report`` summarizes the run-manifest journal
+  (attempts, retries, failures, quarantines, breaker transitions) of
+  previous runs; ``bench serve`` load-tests the serving daemon and
+  writes ``BENCH_serve.json``;
 * ``serve``    — the resilient serving daemon: load/fit a predictor once
   and answer JSON-lines requests (predict / predict_many / whatif /
   search / health) with deadlines, backpressure, and circuit-breaker
@@ -21,7 +22,7 @@ Commands:
 Exit codes are uniform across commands (:data:`EXIT_OK` …):
 
 * ``0`` — completed fully;
-* ``1`` — bad invocation, differential mismatch, or hard failure;
+* ``1`` — bad invocation or hard failure;
 * ``2`` — partial results (failed grid cells after retries, or a serve
   bench with unanswered/unserved requests);
 * ``3`` — degraded-only service (every answer came from the analytical
@@ -123,7 +124,7 @@ def cmd_info(args) -> int:
     print(f"  per profiler: runtime.stage_graphs bound {MEMO_BOUND}, "
           f"runtime.profiles bound None; per daemon: serving.search "
           f"bound {SEARCH_CACHE_SIZE}")
-    print("\nexit codes: 0 = ok, 1 = error/mismatch, 2 = partial results, "
+    print("\nexit codes: 0 = ok, 1 = error, 2 = partial results, "
           "3 = degraded-only service")
     return EXIT_OK
 
@@ -374,59 +375,6 @@ def cmd_bench(args) -> int:
 
     profile = PROFILES[args.profile] if args.profile else active_profile()
 
-    if args.target == "micro":
-        import json
-
-        from .perf import run_intraop_microbench
-
-        result = run_intraop_microbench(profile, quick=args.quick)
-        out = Path(args.output or Path(__file__).resolve().parents[2]
-                   ) / "BENCH_intraop.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        ok = result["differential"]["identical"]
-        print(f"intra-op DP micro-bench: {result['n_cases']} cases, "
-              f"speedup {result['overall']['speedup']:.1f}x, "
-              f"differential {'identical' if ok else 'MISMATCH'} "
-              f"[saved to {out}]")
-        return EXIT_OK if ok else EXIT_ERROR
-
-    if args.target == "train":
-        import json
-
-        from .experiments.engine import n_jobs as _n_jobs
-        from .perf import run_train_microbench
-
-        out = Path(args.output or Path(__file__).resolve().parents[2]
-                   ) / "BENCH_train.json"
-        run_jobs = args.jobs or _n_jobs()
-        if out.exists() and not args.force:
-            try:
-                prev_jobs = int(json.loads(out.read_text()).get("jobs", 1))
-            except (ValueError, OSError):
-                prev_jobs = 1
-            if prev_jobs > run_jobs:
-                print(f"refusing to overwrite {out}: it records a "
-                      f"jobs={prev_jobs} run and this one is jobs={run_jobs} "
-                      f"(the multi-core numbers would silently regress); "
-                      f"pass --force to overwrite anyway")
-                return EXIT_ERROR
-
-        result = run_train_microbench(profile, quick=args.quick,
-                                      jobs=run_jobs)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        ok = result["differential"]["identical"]
-        per_site = "  ".join(
-            f"{name} {site['speedup']:.2f}x"
-            for name, site in result["sites"].items())
-        print(f"predictor pipeline bench: {per_site}")
-        print(f"headline (search_predtop) "
-              f"{result['overall']['headline_search_speedup']:.2f}x, "
-              f"differential {'identical' if ok else 'MISMATCH'} "
-              f"[saved to {out}]")
-        return EXIT_OK if ok else EXIT_ERROR
-
     jobs = args.jobs if args.jobs else n_jobs()
     if args.family == "both":
         families: tuple[str, ...] = ("gpt", "moe")
@@ -607,19 +555,15 @@ def make_parser() -> argparse.ArgumentParser:
                       "engine")
     p.add_argument("target",
                    choices=("table5", "table6", "tables", "usecase",
-                            "schedules", "micro", "train", "serve",
-                            "report"),
+                            "schedules", "serve", "report"),
                    help="which artifact to (re)compute (schedules: the "
                         "validated simulator-vs-closed-form grid -> "
-                        "schedule_grid_<family>.csv; micro: the intra-op "
-                        "DP micro-benchmark -> BENCH_intraop.json; train: "
-                        "the predictor-pipeline benchmark -> "
-                        "BENCH_train.json; serve: the daemon load test -> "
-                        "BENCH_serve.json; report: summarize the "
-                        "run-manifest journal)")
+                        "schedule_grid_<family>.csv; serve: the daemon "
+                        "load test -> BENCH_serve.json; report: summarize "
+                        "the run-manifest journal)")
     p.add_argument("--quick", action="store_true",
-                   help="micro/train/serve: reduced case set / repeats / "
-                        "fleet; schedules: first family only (CI smoke)")
+                   help="serve: reduced fleet; schedules: first family "
+                        "only (CI smoke)")
     p.add_argument("--host", default="127.0.0.1",
                    help="serve target: daemon host (with --port)")
     p.add_argument("--port", type=int, default=0,
@@ -662,9 +606,6 @@ def make_parser() -> argparse.ArgumentParser:
                    "REPRO_PROFILE or fast)")
     p.add_argument("--output", default="",
                    help="results directory (default: <repo>/results)")
-    p.add_argument("--force", action="store_true",
-                   help="overwrite BENCH_train.json even when the "
-                        "existing file records a higher-jobs run")
     return parser
 
 

@@ -15,6 +15,9 @@ tiers is a :class:`Memo`:
 * an optional LRU ``bound`` is fixed where the memo is built.  Only the
   tiers a client can grow are bounded (:data:`MEMO_BOUND`).
 
+Every memo's lock is built by :func:`fork_safe_lock`, the one rule for
+locks a forked pool worker can take.
+
 Memos built with :func:`tier` are module-level and registered:
 :func:`clear_all` empties them and resets their counters (tests and
 benchmarks), and :func:`snapshot` reports them (``health``, ``repro
@@ -59,6 +62,43 @@ MEMO_BOUND = 4096
 
 _MISSING = object()
 
+#: every lock built by :func:`fork_safe_lock`, for the fork hook below
+_FORK_SAFE: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def fork_safe_lock(factory: Callable[[], V] = threading.Lock) -> V:
+    """A new ``factory()`` lock that a forked child gets back released.
+
+    The persistent pool forks its workers lazily, from a process that
+    may already run threads (the daemon forks on its first search and
+    on every respawn).  A lock that another thread held at fork time
+    would stay held in the child forever, by a thread that does not
+    exist there.  So every lock a pool child can take is built here, and
+    the at-fork hook re-initialises each one in the child, as CPython
+    does for its own locks (``threading``, ``logging``).  Those locks:
+
+    * each :class:`Memo`'s lock (a worker reads and fills the tiers);
+    * ``PredictorRuntime.model_lock`` (a daemon search candidate
+      predicts through the ensemble in a worker);
+    * ``sharding._INTERN_LOCK`` (a worker interns sharding specs).
+
+    The breaker, tenancy, server and router locks stay plain, parent-only
+    locks: they guard admission, queues, connections, counters and
+    replica state, which only the parent's request and connection
+    threads touch.  A pool child runs mapped cells, never requests.
+    """
+    lock = factory()
+    _FORK_SAFE.add(lock)
+    return lock
+
+
+def _reinit_locks_after_fork() -> None:
+    for lock in list(_FORK_SAFE):
+        lock._at_fork_reinit()
+
+
+os.register_at_fork(after_in_child=_reinit_locks_after_fork)
+
 
 @dataclass(frozen=True)
 class MemoStats:
@@ -92,8 +132,7 @@ class Memo:
         self.entries: dict = (weakref.WeakKeyDictionary() if weak
                               else OrderedDict() if bound else {})
         self.hits = self.misses = self.evictions = 0
-        self._lock = threading.Lock()
-        _LIVE.add(self)
+        self._lock = fork_safe_lock()
 
     def lookup(self, key, default=None):
         """The cached value for ``key`` (counted), else ``default``."""
@@ -155,18 +194,6 @@ class Memo:
 
 
 _TIERS: list[Memo] = []
-#: every memo, for the fork hook below
-_LIVE: "weakref.WeakSet[Memo]" = weakref.WeakSet()
-
-
-def _fresh_locks_after_fork() -> None:
-    # the daemon forks search workers from threads: a lock another thread
-    # held at fork time would never be released in the child
-    for memo in list(_LIVE):
-        memo._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_locks_after_fork)
 
 
 def tier(name: str, key: str, bound: int | None = None, *,

@@ -11,8 +11,8 @@ gradients and weights):
   attention layers consume the precomputed additive masks carried on the
   batch;
 * **reference** — the original allocate-and-accumulate strategy, kept as
-  the oracle for the differential tests and as the baseline side of
-  ``benchmarks/bench_train.py``.
+  the oracle for the differential tests
+  (``tests/test_fastpath_differential.py``).
 
 Every process starts on the fast strategy; :func:`set_fast` selects the
 reference one at runtime.  Both produce identical numbers.

@@ -19,13 +19,12 @@ process boundaries re-resolve safely.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
 from ..cluster.mesh import LogicalMesh
 from ..ir.graph import TensorSpec
-from ..memo import tier
+from ..memo import fork_safe_lock, tier
 
 AXES = ("dp", "mp")
 
@@ -114,7 +113,7 @@ class ShardingSpec:
 
 # --------------------------------------------------------------- interning
 
-_INTERN_LOCK = threading.Lock()
+_INTERN_LOCK = fork_safe_lock()
 #: assignments tuple -> the canonical (validated-once) instance; pinned,
 #: because ids and canonical instances must live as long as the process
 _INTERN = tier("parallel.specs", "sharding assignments",

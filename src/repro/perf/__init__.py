@@ -1,22 +1,15 @@
-"""Performance instrumentation and micro-benchmark harness.
+"""Performance instrumentation and the serving load test.
 
 ``repro.perf.timing`` provides scoped wall-clock timers and counters with
-percentile summaries; ``repro.perf.microbench`` drives the intra-op DP
-micro-benchmark over the active profile's GPT grid and emits the
-``BENCH_intraop.json`` artifact (``repro bench micro``);
-``repro.perf.trainbench`` drives the predictor-pipeline benchmark (fast
-hot path vs the seed baseline, bit-identical by construction) and emits
-``BENCH_train.json`` (``repro bench train``);
-``repro.perf.servebench`` drives a deterministic synthetic-client fleet
-against the serving daemon (chaos-aware via ``REPRO_FAULTS``) and emits
-``BENCH_serve.json`` (``repro bench serve``).
+percentile summaries; ``repro.perf.servebench`` drives a deterministic
+synthetic-client fleet against the serving daemon (chaos-aware via
+``REPRO_FAULTS``) and emits ``BENCH_serve.json`` (``repro bench serve``).
+Offline search and serving are timed end to end and per layer by the
+repository benchmark, ``perfbench/``.
 """
 
 from .timing import PerfRecorder, TimingStats, percentile
-from .microbench import run_intraop_microbench
 from .servebench import run_noisy_neighbor_bench, run_serve_bench
-from .trainbench import run_train_microbench
 
 __all__ = ["PerfRecorder", "TimingStats", "percentile",
-           "run_intraop_microbench", "run_noisy_neighbor_bench",
-           "run_serve_bench", "run_train_microbench"]
+           "run_noisy_neighbor_bench", "run_serve_bench"]

@@ -37,6 +37,7 @@ from ..cluster.platforms import MESH_CONFIGS, PLATFORMS, get_platform
 from ..core.sampling import stratified_sample
 from ..ir.graph import Graph
 from ..ir.serialize import canonical_hash, graph_from_dict
+from ..memo import fork_safe_lock
 from ..models.clustering import Clustering, cluster_layers
 from ..models.configs import BENCHMARKS, benchmark_config
 from ..models.model import build_model
@@ -104,7 +105,7 @@ class PredictorRuntime:
         self.analytical = analytical
         self.trust = trust
         self.config = config
-        self.model_lock = threading.RLock()
+        self.model_lock = fork_safe_lock(threading.RLock)
         self._model_calls = 0
         #: bumped on every ensemble reload; cache keys embed it so a
         #: hot-swapped model invalidates cached search answers for free

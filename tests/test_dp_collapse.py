@@ -50,10 +50,17 @@ class TestDifferential:
         for logical in logical_views(mesh):
             assert_identical(graph, logical)
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_benchmark_families(self, family):
+    @pytest.mark.parametrize("family, topo", [
+        pytest.param(family, topo, id=family + ("-topo" if topo else ""))
+        for topo in (None, "on") for family in FAMILIES])
+    def test_benchmark_families(self, family, topo, monkeypatch):
         """Every family's real training graphs, across slice twins and
-        both mesh shapes — the population the search actually solves."""
+        both mesh shapes — the population the search actually solves —
+        with flat and with topology-aware (``REPRO_TOPO=on``) pricing."""
+        if topo:
+            monkeypatch.setenv("REPRO_TOPO", topo)
+        else:
+            monkeypatch.delenv("REPRO_TOPO", raising=False)
         profiler = StageProfiler(build_model(benchmark_config(family, 2)))
         meshes = (DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE),
                   DeviceMesh(2, 2, RTX_A5500, NVLINK, TEN_GBE))
@@ -61,6 +68,7 @@ class TestDifferential:
             tg = profiler.training_graph(start, end)
             for mesh in meshes:
                 for logical in logical_views(mesh):
+                    assert logical.key().endswith("-topo") == bool(topo)
                     assert_identical(tg, logical)
 
     def test_cross_graph_memo_entries_are_lossless(self, tiny_gpt_profiler):

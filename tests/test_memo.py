@@ -1,19 +1,25 @@
 """The memo primitive: LRU bound, counters, the cold-key race, the
-registry, and the bound on the tiers a daemon client can grow."""
+registry, the bound on the tiers a daemon client can grow, and the
+fork-safe locks."""
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 import threading
 import time
 import weakref
 
+import pytest
+
 from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.memo import Memo, MemoStats, clear_all, snapshot
+from repro.parallel import sharding
 from repro.parallel.plan_cache import cached_optimize_stage
 from repro.predictors import encoding_cache
 from repro.runtime.profiler import StageProfiler
+from repro.serving.runtime import PredictorRuntime
 
 from .test_cache_threads import N_THREADS, ROUNDS, _hammer
 
@@ -126,3 +132,42 @@ class TestClientGrownTiers:
         for memo in (encodings, graphs):
             assert len(memo) == bound
             assert memo.stats.evictions == requests - bound
+
+
+class TestForkSafeLocks:
+    @pytest.mark.parametrize("make_owner, attr", [
+        (lambda: Memo("test.fork", "name"), "_lock"),
+        # __init__ only stores its eight arguments; the lock is the subject
+        (lambda: PredictorRuntime(*[None] * 8), "model_lock"),
+        (lambda: sharding, "_INTERN_LOCK"),
+    ], ids=["memo", "model_lock", "intern_lock"])
+    def test_child_takes_a_lock_another_thread_held_at_fork(
+            self, make_owner, attr):
+        """The pool forks workers from a threaded process; a child must
+        find every lock it can take released."""
+        owner = make_owner()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with getattr(owner, attr):
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        try:
+            assert held.wait(5)
+            pid = os.fork()
+            if pid == 0:  # the child never returns into pytest
+                code = 1
+                try:
+                    lock = getattr(owner, attr)
+                    code = 0 if lock.acquire(timeout=1.0) else 1
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+        finally:
+            release.set()
+            holder.join(5)
+        assert not holder.is_alive()
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -1,4 +1,4 @@
-"""The perf package: percentiles, recorders, and the micro-bench harness."""
+"""The perf package's timing primitives: percentiles and recorders."""
 
 from __future__ import annotations
 
@@ -48,21 +48,3 @@ class TestPerfRecorder:
         assert summary["counters"] == {"cases": 5}
         assert summary["timers"]["t"]["n"] == 1
         assert summary["timers"]["t"]["p50_ms"] == pytest.approx(2.0)
-
-
-class TestMicrobenchHarness:
-    def test_quick_harness_end_to_end(self, tiny_gpt_profiler):
-        """Quick mode: small case set, differential identity, sane JSON."""
-        from repro.experiments.profiles import PROFILES
-        from repro.perf.microbench import SCHEMA, run_intraop_microbench
-
-        result = run_intraop_microbench(PROFILES["smoke"], quick=True,
-                                        repeats=1)
-        assert result["schema"] == SCHEMA
-        assert result["differential"]["identical"] is True
-        assert result["differential"]["checked"] == result["n_cases"] > 0
-        assert result["overall"]["speedup"] > 0
-        for bucket in result["buckets"].values():
-            assert bucket["n_cases"] > 0
-            assert bucket["vectorized"]["p50_ms"] > 0
-            assert bucket["reference"]["p50_ms"] > 0

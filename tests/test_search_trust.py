@@ -23,7 +23,7 @@ CHAOS_TRUST = TrustConfig(enabled=True, ensemble_size=2, budget=1e9)
 
 
 def make_searcher(tiny_gpt, tiny_gpt_clustering, tiny_gpt_profiler,
-                  trust=None):
+                  trust=None, jobs=1):
     return PlanSearcher(
         tiny_gpt, tiny_gpt_clustering, PLATFORM2.cluster(),
         n_microbatches=4,
@@ -31,7 +31,7 @@ def make_searcher(tiny_gpt, tiny_gpt_clustering, tiny_gpt_profiler,
         sample_fraction=0.5,
         train_config=TrainConfig(epochs=6, patience=6, batch_size=8),
         seed=0,
-        jobs=1,
+        jobs=jobs,
         trust=trust,
     )
 
@@ -60,6 +60,29 @@ class TestCleanPath:
         r = searcher.search_predtop("gcn")
         assert r.trust.total > 0  # every predicted entry was assessed
         assert r.true_iteration_latency <= clean_result.true_iteration_latency * 1.05
+
+
+class TestWorkerCounts:
+    def test_parallel_search_commits_the_serial_plan(
+            self, tiny_gpt, tiny_gpt_clustering, tiny_gpt_profiler,
+            monkeypatch):
+        """``REPRO_JOBS`` sets the workers of every sweep a search fans
+        out, the ensemble member fits included (``jobs`` alone leaves
+        those on ``REPRO_JOBS``); the worker count never changes the
+        answer."""
+        trust = TrustConfig(enabled=True, ensemble_size=2)
+
+        def search(workers):
+            monkeypatch.setenv("REPRO_JOBS", str(workers))
+            r = make_searcher(tiny_gpt, tiny_gpt_clustering,
+                              tiny_gpt_profiler, trust=trust,
+                              jobs=None).search_predtop("gcn")
+            return (tuple((st.layer_range, st.submesh.key())
+                          for st in r.plan.stages),
+                    r.true_iteration_latency, r.n_table_entries,
+                    r.trust.as_dict())
+
+        assert search(2) == search(1)
 
 
 class TestChaosSearch:

@@ -141,6 +141,46 @@ class TestRouting:
             srv.stop()
 
 
+class TestForkedSearchWorkers:
+    def test_search_reaches_the_model_while_another_thread_holds_it(
+            self, serving_runtime, tmp_path):
+        """The pool forks search workers from the threaded daemon.  A
+        worker forked while another thread holds ``model_lock`` must
+        still predict, not block until the supervisor kills its cell."""
+        from repro.experiments import pool
+
+        pool._shutdown_global()  # the search below forks fresh workers
+        srv = ReproServer(serving_runtime, ServerConfig(port=0, workers=1),
+                          journal_root=tmp_path)
+        srv.start()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with serving_runtime.model_lock:
+                held.set()
+                release.wait(60)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        c = Client(srv.address)
+        try:
+            assert held.wait(5)
+            resp = c.rpc({"op": "search", "id": 1, "deadline_ms": 8000,
+                          "params": {"stage_counts": [1, 2],
+                                     "n_microbatches": 4}})
+        finally:
+            release.set()
+            holder.join(5)
+            c.close()
+            srv.stop()
+        assert not holder.is_alive()
+        assert resp["ok"], resp
+        assert resp["served_by"] == "model", resp
+        assert resp["result"]["failed_candidates"] == 0
+        events = [e["event"] for e in manifest.read_events(tmp_path)]
+        assert "cell_retry" not in events
+
+
 class TestHostileClients:
     def test_garbage_line_gets_error_and_connection_survives(self, client):
         client.send_raw(b"\x00\xffgarbage not json\n")
