@@ -542,8 +542,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenants", default="",
                    help="tenants.json with per-tenant budgets (rate, "
                         "burst, max_inflight, max_queued, weight, "
-                        "op_costs); default: REPRO_TENANT_* env defaults, "
-                        "unlimited when unset")
+                        "op_costs); a \"default\" entry sets the class "
+                        "unknown tenants fall into; default: unlimited")
     p.add_argument("--router", type=int, nargs="+", default=[],
                    metavar="PORT",
                    help="run a consistent-hash failover router over the "

@@ -100,7 +100,8 @@ class PlanSearcher:
         #: state + activations exceed GPU memory (Alpa does the same)
         self.enforce_memory = enforce_memory
         self.seed = seed
-        #: engine worker count for the profiling sweeps (None = REPRO_JOBS)
+        #: engine worker count for every sweep a search fans out, the
+        #: ensemble member fits included (None = REPRO_JOBS)
         self.jobs = jobs
         #: trust-layer knobs (None = read ``REPRO_TRUST_*``; disabled by
         #: default, keeping predictions bit-identical to the unguarded path)
@@ -188,7 +189,7 @@ class PlanSearcher:
         return slice_stages(self.clustering, self.submeshes, table,
                             self.n_microbatches,
                             total_devices=self.cluster.num_devices,
-                            schedule=spec, jobs=self.jobs)
+                            schedule=spec)
 
     # ------------------------------------------------------------ approaches
     def search_full(self) -> SearchResult:
@@ -281,7 +282,8 @@ class PlanSearcher:
                 train = [samples[i] for i in order[n_val:]]
                 ensemble = EnsemblePredictor(kind, seed=self.seed,
                                              size=ensemble_size)
-                fit = ensemble.fit(train, val, self.train_config)
+                fit = ensemble.fit(train, val, self.train_config,
+                                   jobs=self.jobs)
                 wall = fit.wall_seconds
                 if fit.degraded:
                     return ("degraded", None, None, None, wall, 0.0,

@@ -339,13 +339,6 @@ class ResultsCache:
             return []
         return sorted(self.shards_dir.glob("*.corrupt"))
 
-    # ------------------------------------------------------- compat property
-    @property
-    def path(self) -> Path | None:
-        """Cache root (``None`` when disabled); kept for callers that only
-        check enabled-ness."""
-        return self.root
-
 
 _GLOBAL: ResultsCache | None = None
 

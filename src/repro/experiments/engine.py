@@ -15,9 +15,9 @@ This module provides:
   worker pool (:mod:`~repro.experiments.pool`), degrading to the plain
   serial loop (with a warning) when the pool cannot be created;
 * :func:`supervised_map` — the fault-tolerant map over the same pool:
-  per-cell timeouts (``REPRO_CELL_TIMEOUT``), bounded retries with
-  exponential backoff (``REPRO_CELL_RETRIES`` /
-  ``REPRO_RETRY_BACKOFF``), dead-worker detection with respawn and
+  per-cell timeouts (``REPRO_CELL_TIMEOUT``), bounded retries
+  (``REPRO_CELL_RETRIES``) with exponential backoff from
+  :data:`RETRY_BACKOFF`, dead-worker detection with respawn and
   resubmission, and partial-failure accounting — the map returns
   completed results plus structured :class:`CellFailure` records instead
   of raising;
@@ -34,10 +34,13 @@ Workers share results through the sharded on-disk cache
 (:mod:`repro.experiments.cache`), which tolerates concurrent writers,
 checksums its shards, and quarantines corruption.
 
-Nested parallelism is suppressed: code running inside an engine worker
-sees ``n_jobs() == 1``, so a parallel grid never forks a second tier of
-pools.  Deterministic chaos testing hooks into the worker bootstrap and
-the serial loop via :mod:`repro.faults` (``REPRO_FAULTS``).
+Nested parallelism is suppressed: inside an engine worker
+:func:`worker_count` is 1 whatever ``jobs`` a caller asks for, so
+``parallel_map``, ``supervised_map`` and an ensemble fit run in-process
+there and a parallel grid never forks a second tier of pools (a
+daemonic worker may not have children).  Deterministic chaos testing
+hooks into the worker bootstrap and the serial loop via
+:mod:`repro.faults` (``REPRO_FAULTS``).
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ _IN_WORKER = False
 #: pool unhealthy and degrades to the serial path
 _MAX_SPAWN_FAILURES = 3
 
+#: base retry delay in seconds; attempt ``k`` waits ``backoff * 2**(k-1)``
+RETRY_BACKOFF = 0.05
+
 
 def n_jobs(default: int | None = None) -> int:
     """Worker count from ``REPRO_JOBS`` (default ``os.cpu_count()``)."""
@@ -78,6 +84,14 @@ def n_jobs(default: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+def worker_count(jobs: int | None) -> int:
+    """Workers a map may use: ``jobs`` (None = :func:`n_jobs`), but 1
+    inside a pool worker whatever the caller asked for."""
+    if _IN_WORKER:
+        return 1
+    return n_jobs() if jobs is None else max(1, jobs)
+
+
 def cell_timeout() -> float:
     """Per-cell wall-clock budget from ``REPRO_CELL_TIMEOUT`` (seconds;
     0 = unlimited, the default)."""
@@ -89,12 +103,6 @@ def cell_retries() -> int:
     return max(0, int(env_setting("REPRO_CELL_RETRIES", 2)))
 
 
-def retry_backoff() -> float:
-    """Base retry delay from ``REPRO_RETRY_BACKOFF`` (seconds, default
-    0.05); attempt ``k`` waits ``backoff * 2**(k-1)``."""
-    return max(0.0, env_setting("REPRO_RETRY_BACKOFF", 0.05))
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -102,25 +110,23 @@ def parallel_map(
 ) -> list[R]:
     """``[fn(x) for x in items]`` over a process pool, order preserved.
 
-    Serial (and pool-free) when ``jobs`` resolves to 1, when there are
-    fewer than two items, or when the platform cannot fork; if creating
-    the pool itself fails (fd exhaustion, fork limits), the map degrades
-    to the serial loop with a warning instead of raising.  Items and
-    results cross the process boundary by pickling (large numpy results
-    by shared memory); ``fn`` itself does not — it is inherited through
-    the fork — so closures over live objects (profilers, searchers) are
-    fine.
+    Serial (and pool-free) when :func:`worker_count` resolves to 1 (as
+    it always does inside a pool worker), when there are fewer than two
+    items, or when the platform cannot fork; if creating the pool itself
+    fails (fd exhaustion, fork limits), the map degrades to the serial
+    loop with a warning instead of raising.  Items and results cross the
+    process boundary by pickling; ``fn`` itself does not — it is
+    inherited through the fork — so closures over live objects
+    (profilers, searchers) are fine.
 
     The map runs over the :mod:`~repro.experiments.pool` persistent
-    workers, which survive across calls (caches stay warm, no per-call
-    fork/teardown); the pool restarts itself whenever ``fn`` or the
-    ``REPRO_*`` environment changes, so repeated maps over one stable
-    callable are the fast path.  Results are bit-identical to the serial
-    loop.
+    workers, which survive across calls while ``fn`` and the ``REPRO_*``
+    environment stay the same; a different ``fn`` restarts the pool, so
+    only repeated maps over one stable callable skip the fork.  Results
+    are bit-identical to the serial loop.
     """
     items = list(items)
-    jobs = n_jobs() if jobs is None else max(1, jobs)
-    jobs = min(jobs, len(items))
+    jobs = min(worker_count(jobs), len(items))
     if jobs <= 1 or len(items) < 2:
         return [fn(x) for x in items]
     try:
@@ -238,11 +244,10 @@ def supervised_map(
     """
     items = list(items)
     n = len(items)
-    jobs = n_jobs() if jobs is None else max(1, jobs)
-    jobs = min(jobs, max(1, n))
+    jobs = min(worker_count(jobs), max(1, n))
     timeout = cell_timeout() if timeout is None else max(0.0, timeout)
     retries = cell_retries() if retries is None else max(0, retries)
-    backoff = retry_backoff() if backoff is None else max(0.0, backoff)
+    backoff = RETRY_BACKOFF if backoff is None else max(0.0, backoff)
     labels = list(labels) if labels is not None else [f"item{i}" for i in range(n)]
     outcome = MapOutcome(results=[None] * n)
     if jobs <= 1 or n < 2:
@@ -470,7 +475,7 @@ def run_grid_report(
              for (scenario, fraction, kind) in cells]
     labels = [f"{platform_name}/{family}/{scenario.key}/f{fraction:.2f}/{kind}"
               for (scenario, fraction, kind) in cells]
-    jobs = n_jobs() if jobs is None else max(1, jobs)
+    jobs = worker_count(jobs)
     cache = global_cache()
     if cache.root is not None:
         cache.reap_stale()

@@ -1,16 +1,14 @@
 """Long-lived fork-based worker pool (the engine's only parallel backend).
 
 Every parallel ``parallel_map`` and ``supervised_map`` call runs on one
-pool of workers kept alive across calls, so no call pays fork and
-teardown, and whatever a worker warmed up (plan caches, encoded graphs,
-profiled corpora) is reused:
+pool of workers kept alive across calls while its callable stays the
+same, so such calls pay no fork and teardown, and whatever a worker
+warmed up (plan caches, encoded graphs, profiled corpora) is reused:
 
 * workers inherit the mapped callable and every live cache **once**,
   copy-on-write at fork time;
-* tasks cross to workers as small pickled messages over per-worker
-  duplex pipes; large numpy results come back through POSIX
-  shared-memory segments instead of being pickled through the pipe
-  (:data:`SHM_MIN_BYTES` threshold, recursive over tuples/lists/dicts);
+* tasks and results cross as pickled messages over per-worker duplex
+  pipes;
 * a worker that dies is detected by pipe-EOF, reported to the caller,
   and replaced — the pool heals instead of wedging (chaos-tested with
   ``worker_crash`` faults firing inside pool workers);
@@ -19,9 +17,13 @@ profiled corpora) is reused:
   callable at spawn time), a larger worker count, any ``REPRO_*``
   environment change (fault plans, cache roots, feature gates are read
   by workers), or a replaced multiprocessing context (tests inject
-  broken ones).  In steady state — grid cells, latency-table fills,
-  repeated searches over one hoisted task callable — none of these
-  change and the same workers serve every call.
+  broken ones).  Repeated maps over one hoisted callable — grid cells,
+  a daemon's searches within one model generation — keep their
+  workers.  Sweeps over different callables do not: one
+  ``search_predtop`` maps a per-searcher profiling callable, then a
+  per-search fit closure, then (when two or more of its plan's stages
+  are unprofiled) the profiling callable again to score the plan, and
+  each of those sweeps forks the pool afresh.
 
 Results never depend on worker identity or reuse: a parallel map is
 bit-identical to the serial loop.
@@ -33,20 +35,11 @@ import atexit
 import multiprocessing
 import os
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable
 
 from .. import faults
-
-try:  # 3.8+; guarded so exotic builds degrade to pipe transport
-    from multiprocessing import shared_memory as _shm_mod
-except ImportError:  # pragma: no cover
-    _shm_mod = None
-
-#: results at least this large (bytes) ride shared memory, not the pipe
-SHM_MIN_BYTES = 1 << 20
 
 #: the mapped callable, inherited by workers through the fork
 _POOL_FN: Callable[[Any], Any] | None = None
@@ -60,16 +53,12 @@ class PoolStats:
     workers_spawned: int = 0
     workers_respawned: int = 0
     tasks: int = 0
-    shm_arrays: int = 0
-    shm_bytes: int = 0
 
     def reset(self) -> None:
         self.pools_started = 0
         self.workers_spawned = 0
         self.workers_respawned = 0
         self.tasks = 0
-        self.shm_arrays = 0
-        self.shm_bytes = 0
 
 
 _STATS = PoolStats()
@@ -77,80 +66,6 @@ _STATS = PoolStats()
 
 def pool_stats() -> PoolStats:
     return _STATS
-
-
-# ------------------------------------------------------- result transport
-@dataclass(frozen=True)
-class _ShmArray:
-    """Wire descriptor for an ndarray parked in shared memory."""
-
-    name: str
-    dtype: str
-    shape: tuple
-
-
-def _encode_result(obj: Any) -> tuple[Any, list]:
-    """Replace large ndarrays with shared-memory descriptors.
-
-    Returns the wire object plus the created segments (the worker closes
-    its handles after a successful send; the parent unlinks)."""
-    import numpy as np
-
-    if _shm_mod is None:
-        return obj, []
-    if (isinstance(obj, np.ndarray) and obj.nbytes >= SHM_MIN_BYTES
-            and obj.dtype != object):
-        seg = _shm_mod.SharedMemory(create=True, size=obj.nbytes)
-        np.ndarray(obj.shape, dtype=obj.dtype, buffer=seg.buf)[...] = obj
-        return _ShmArray(seg.name, obj.dtype.str, obj.shape), [seg]
-    if isinstance(obj, (tuple, list)):
-        parts, segs, changed = [], [], False
-        for v in obj:
-            enc, s = _encode_result(v)
-            changed = changed or s
-            parts.append(enc)
-            segs.extend(s)
-        if not changed:
-            return obj, []
-        return (tuple(parts) if isinstance(obj, tuple) else parts), segs
-    if isinstance(obj, dict):
-        out, segs, changed = {}, [], False
-        for k, v in obj.items():
-            enc, s = _encode_result(v)
-            changed = changed or s
-            out[k] = enc
-            segs.extend(s)
-        if not changed:
-            return obj, []
-        return out, segs
-    return obj, []
-
-
-def _decode_result(obj: Any) -> Any:
-    """Materialize shared-memory descriptors (copy out, then unlink)."""
-    import numpy as np
-
-    if isinstance(obj, _ShmArray):
-        seg = _shm_mod.SharedMemory(name=obj.name)
-        try:
-            arr = np.ndarray(obj.shape, dtype=np.dtype(obj.dtype),
-                             buffer=seg.buf).copy()
-        finally:
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        _STATS.shm_arrays += 1
-        _STATS.shm_bytes += arr.nbytes
-        return arr
-    if isinstance(obj, tuple):
-        return tuple(_decode_result(v) for v in obj)
-    if isinstance(obj, list):
-        return [_decode_result(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _decode_result(v) for k, v in obj.items()}
-    return obj
 
 
 # --------------------------------------------------------------- the pool
@@ -176,23 +91,13 @@ def _pool_worker(conn) -> None:
             conn.close()
             os._exit(0)
         _, task_id, index, attempt, item, fire_faults = msg
-        segs = []
         try:
             if fire_faults:
                 faults.fire("worker_crash", index, attempt)
                 faults.fire("cell_hang", index, attempt)
             assert _POOL_FN is not None
-            wire, segs = _encode_result(_POOL_FN(item))
-            conn.send((task_id, "ok", wire))
-            for seg in segs:
-                seg.close()
+            conn.send((task_id, "ok", _POOL_FN(item)))
         except BaseException as exc:  # noqa: BLE001 - report, keep serving
-            for seg in segs:
-                try:
-                    seg.close()
-                    seg.unlink()
-                except Exception:
-                    pass
             try:
                 conn.send((task_id, "err", exc))
             except Exception:
@@ -358,8 +263,6 @@ class PersistentPool:
                                         exitcode=exitcode))
                 continue
             w.task_id = None
-            if status == "ok":
-                payload = _decode_result(payload)
             events.append(PoolEvent("result", task_id, status, payload))
         return events
 

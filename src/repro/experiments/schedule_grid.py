@@ -25,7 +25,7 @@ from ..cluster.platforms import get_platform
 from ..runtime.schedules import get_schedule, schedule_names
 from .cache import global_cache
 from .corpus import benchmark_setup
-from .engine import CellFailure, n_jobs, supervised_map
+from .engine import CellFailure, supervised_map, worker_count
 from .manifest import append_event
 from .profiles import ExperimentProfile
 
@@ -114,7 +114,7 @@ def run_schedule_grid(
              for family in families for schedule in schedules]
     labels = [f"schedules/{family}/{schedule}"
               for (family, schedule) in cells]
-    jobs = n_jobs() if jobs is None else max(1, jobs)
+    jobs = worker_count(jobs)
     cache = global_cache()
     if cache.root is not None:
         cache.reap_stale()

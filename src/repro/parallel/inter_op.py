@@ -27,7 +27,7 @@ profiling, partial profiling, and PredTOP variants all reuse this DP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..cluster.mesh import DeviceMesh
 from ..models.clustering import Clustering
@@ -72,7 +72,6 @@ def slice_stages(
     total_devices: int | None = None,
     max_stages: int | None = None,
     schedule: "ScheduleSpec | None" = None,
-    jobs: int | None = None,
 ) -> ParallelPlan:
     """Run the Alpa inter-op DP; returns the best pipeline plan.
 
@@ -88,12 +87,6 @@ def slice_stages(
         schedule: pipeline schedule whose ``dp_objective`` the DP
             minimizes; ``None`` keeps the original Eqn-4 float
             arithmetic exactly (the 1F1B differential tests pin this).
-        jobs: engine workers for the candidate-``t_max`` sweep (None =
-            ``REPRO_JOBS``); the per-bound DPs are independent, so they
-            fan out in chunks with an in-order reduction that re-applies
-            the serial loop's incumbent cutoff — the chosen plan is
-            bit-identical to ``jobs=1``, at most ``jobs - 1`` bounds of
-            wasted work past the break point.
 
     Returns:
         The minimizing :class:`ParallelPlan`; its ``iteration_latency`` is
@@ -101,7 +94,6 @@ def slice_stages(
     """
     U = clustering.n_units
     D = total_devices or max(m.num_devices for m in submeshes)
-    sizes = [m.num_devices for m in submeshes]
 
     if schedule is None:
         def objective(total: float, t_max: float) -> float:
@@ -127,59 +119,22 @@ def slice_stages(
     if not candidates:
         return ParallelPlan([], INFEASIBLE, n_microbatches)
 
-    from ..experiments.engine import n_jobs, parallel_map
-
     best_plan: ParallelPlan | None = None
     best_total = INFEASIBLE
-    jobs = n_jobs() if jobs is None else max(1, jobs)
-    if jobs <= 1 or len(candidates) <= 2:
-        for t_max in candidates:
-            # candidates ascend: once the t_max-only term alone exceeds
-            # the incumbent, no later bound can win
-            if best_plan is not None and floor(t_max) >= best_total:
-                break
-            total, stages = _dp_min_sum(clustering, submeshes, source, D,
-                                        t_max, max_stages)
-            if total >= INFEASIBLE:
-                continue
-            pipeline = objective(total, t_max)
-            if pipeline < best_total:
-                best_total = pipeline
-                best_plan = ParallelPlan(stages, pipeline, n_microbatches)
-        return best_plan or ParallelPlan([], INFEASIBLE, n_microbatches)
-
-    for start in range(0, len(candidates), jobs):
-        chunk = candidates[start:start + jobs]
-        if best_plan is not None and floor(chunk[0]) >= best_total:
+    for t_max in candidates:
+        # candidates ascend: once the t_max-only term alone exceeds the
+        # incumbent, no later bound can win
+        if best_plan is not None and floor(t_max) >= best_total:
             break
-        solved = parallel_map(
-            _dp_candidate,
-            [(clustering, submeshes, source, D, t_max, max_stages)
-             for t_max in chunk], jobs)
-        stop = False
-        for t_max, (total, stages) in zip(chunk, solved):
-            # the serial loop's cutoff, re-applied in candidate order —
-            # the chunk may hold up to jobs-1 bounds past the break, but
-            # their results are discarded so the chosen plan is identical
-            if best_plan is not None and floor(t_max) >= best_total:
-                stop = True
-                break
-            if total >= INFEASIBLE:
-                continue
-            pipeline = objective(total, t_max)
-            if pipeline < best_total:
-                best_total = pipeline
-                best_plan = ParallelPlan(stages, pipeline, n_microbatches)
-        if stop:
-            break
+        total, stages = _dp_min_sum(clustering, submeshes, source, D,
+                                    t_max, max_stages)
+        if total >= INFEASIBLE:
+            continue
+        pipeline = objective(total, t_max)
+        if pipeline < best_total:
+            best_total = pipeline
+            best_plan = ParallelPlan(stages, pipeline, n_microbatches)
     return best_plan or ParallelPlan([], INFEASIBLE, n_microbatches)
-
-
-def _dp_candidate(task: tuple) -> tuple[float, list[StageAssignment]]:
-    """One candidate-``t_max`` DP solve (module-level so the engine's
-    persistent pool keeps one stable callable across every sweep)."""
-    clustering, submeshes, source, D, t_max, max_stages = task
-    return _dp_min_sum(clustering, submeshes, source, D, t_max, max_stages)
 
 
 def sum_lower_bound(source: StageLatencySource, n_units: int,

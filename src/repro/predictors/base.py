@@ -118,15 +118,6 @@ class LatencyPredictor:
         samples = [StageSample(g, latency=1.0) for g in graphs]
         return self.predict_samples(samples, batch_size)
 
-    def predict_many(self, graphs: list[Graph],
-                     batch_size: int = 32) -> np.ndarray:
-        """Batched inference over all pending graphs at once.
-
-        Alias of :meth:`predict_graphs` (which already buckets into
-        padded batches); named entry point for callers that previously
-        looped per graph."""
-        return self.predict_graphs(graphs, batch_size)
-
     def evaluate_mre(self, samples: list[StageSample]) -> float:
         """MRE (Eqn 5, %) against the samples' recorded latencies."""
         pred = self.predict_samples(samples)

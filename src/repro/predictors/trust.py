@@ -239,13 +239,14 @@ class EnsemblePredictor:
 
         Members are seeded independently and trained in isolation, so
         the fan-out is bit-identical to the serial loop; ``jobs``
-        defaults to the engine's ``REPRO_JOBS`` resolution (serial for
-        one member, inside a worker, or when ``REPRO_JOBS=1``).  The
-        serial path runs fully in-process and keeps the live fitted
-        members — no pool, no state-dict round-trip — so a 1-core
-        ensemble fit costs exactly K single-predictor fits.
+        resolves through the engine's :func:`worker_count` (None =
+        ``REPRO_JOBS``; serial for one member, inside a pool worker
+        whatever ``jobs`` says, or when it resolves to 1).  The serial
+        path runs fully in-process and keeps the live fitted members —
+        no pool, no state-dict round-trip — so a 1-core ensemble fit
+        costs exactly K single-predictor fits.
         """
-        from ..experiments.engine import n_jobs, parallel_map
+        from ..experiments.engine import parallel_map, worker_count
 
         cfg = cfg or TrainConfig(seed=self.seed)
         self.feature_stats = FeatureStats.fit(
@@ -256,7 +257,7 @@ class EnsemblePredictor:
             s.encode()
             s.sparse_adj()
 
-        eff_jobs = n_jobs() if jobs is None else max(1, jobs)
+        eff_jobs = worker_count(jobs)
         serial = min(eff_jobs, self.size) <= 1
 
         def _fit_member(i: int):
@@ -318,21 +319,16 @@ class EnsemblePredictor:
         self.fit_result = out
         return out
 
-    def predict_graphs(self, graphs: list[Graph]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, std) of the healthy members' predictions, in seconds."""
-        preds = self._member_predictions(graphs)
-        return preds.mean(axis=0), preds.std(axis=0)
-
     def predict_many(self, graphs: list[Graph]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mean, std, ood) for all pending graphs in one batched pass.
+        """(mean, std, ood) for all pending graphs in one batched pass,
+        in seconds.
 
         Batch construction is shared across members (their normalizers
         are value-identical — deterministic fits on the same train
         split), so the padded batches are built once instead of K times;
-        predictions are bit-identical to per-member
-        :meth:`predict_graphs`.  OOD scores reuse the cached encodings.
+        predictions are bit-identical to each member's own
+        ``predict_graphs``.  OOD scores reuse the cached encodings.
         """
         preds = self._member_predictions(graphs)
         ood = (self.feature_stats.ood_scores(graphs)

@@ -93,8 +93,8 @@ class ServerConfig:
     #: supervised retries per search candidate
     search_retries: int = 1
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    #: per-tenant budgets (None = REPRO_TENANT_* env defaults, which are
-    #: unlimited when unset — the v1 single-tenant daemon's behavior)
+    #: per-tenant budgets (None = ``TenancyConfig()``, unlimited — the
+    #: v1 single-tenant daemon's behavior)
     tenancy: TenancyConfig | None = None
     #: this daemon's position in a router fleet (fault site
     #: ``replica_slow`` keys on it; 0 for a standalone daemon)
@@ -403,8 +403,7 @@ class ReproServer(ConnectionCore):
                                   journal_root=journal_root)
             for route in ("predict", "whatif", "search")
         }
-        tenancy = (self.config.tenancy if self.config.tenancy is not None
-                   else TenancyConfig.from_env())
+        tenancy = self.config.tenancy or TenancyConfig()
         self.admission = AdmissionController(tenancy,
                                              journal_root=journal_root)
         self.batcher = MicroBatcher(
@@ -422,8 +421,10 @@ class ReproServer(ConnectionCore):
                              "n_micro, generation)",
                              bound=SEARCH_CACHE_SIZE)
         self._consecutive_sheds = 0
-        #: stable callable identity for the engine's persistent pool
+        #: stable callable identity for the engine's persistent pool,
+        #: rebound per model generation (see :meth:`_handle_search`)
         self._search_task = runtime.evaluate_candidate
+        self._search_generation = runtime.generation
         self._search_lock = threading.Lock()
 
     # ------------------------------------------------------------- lifecycle
@@ -688,6 +689,11 @@ class ReproServer(ConnectionCore):
         # at worst dropped from the plan (partial answer, not a hang)
         per_cell = max(0.2, remaining * 0.8 / len(specs))
         with self._search_lock:
+            if self._search_generation != self.runtime.generation:
+                # workers keep the ensemble they forked with; a fresh
+                # callable restarts the pool on the reloaded model
+                self._search_task = self.runtime.evaluate_candidate
+                self._search_generation = self.runtime.generation
             outcome = supervised_map(
                 self._search_task, specs,
                 jobs=min(2, len(specs)),

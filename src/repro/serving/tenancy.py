@@ -10,8 +10,8 @@ needs to stop that:
   rate limits (with per-op token costs, so a ``search`` can drain a
   bucket a ``predict`` barely dents), concurrent-work budgets, queue
   caps, and a fair-queueing weight; loaded from a ``tenants.json``
-  (``repro serve --tenants``) with ``REPRO_TENANT_*`` env defaults for
-  everything unspecified;
+  (``repro serve --tenants``), whose ``"default"`` entry sets the
+  class every other entry and every unknown tenant starts from;
 * **admission control** (:class:`AdmissionController`) — over-budget
   requests are answered ``rate_limited`` with a jittered
   ``retry_after_ms`` hint *before* they touch any queue, so a flooding
@@ -46,8 +46,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
-
-from ..env import env_setting
 
 #: tenant class of requests that carry no ``tenant`` field (v1 clients)
 DEFAULT_TENANT = "default"
@@ -96,27 +94,6 @@ class TenantPolicy:
             cost = DEFAULT_OP_COSTS.get(op, 1)
         return max(0, int(cost))
 
-    @property
-    def capacity(self) -> float:
-        return self.burst if self.burst > 0 else max(1.0, math.ceil(self.rate))
-
-    @classmethod
-    def from_env(cls) -> "TenantPolicy":
-        """Fleet-wide defaults from ``REPRO_TENANT_*`` (all unlimited
-        when unset, so the env-free daemon is behaviorally unchanged).
-        A malformed value raises :class:`ValueError` naming the variable
-        instead of reading as unlimited."""
-        op_costs = {}
-        search_cost = env_setting("REPRO_TENANT_SEARCH_COST", 0, int)
-        if search_cost > 0:
-            op_costs["search"] = search_cost
-        return cls(rate=env_setting("REPRO_TENANT_RATE", 0.0),
-                   burst=env_setting("REPRO_TENANT_BURST", 0.0),
-                   max_inflight=env_setting("REPRO_TENANT_INFLIGHT", 0, int),
-                   max_queued=env_setting("REPRO_TENANT_QUEUE", 0, int),
-                   weight=max(1, env_setting("REPRO_TENANT_WEIGHT", 1, int)),
-                   op_costs=op_costs)
-
 
 def _parse_policy(name: str, data: Mapping[str, Any],
                   base: TenantPolicy) -> TenantPolicy:
@@ -161,17 +138,13 @@ class TenancyConfig:
         return self.policy(tenant).max_queued
 
     @classmethod
-    def from_env(cls) -> "TenancyConfig":
-        return cls(default=TenantPolicy.from_env())
-
-    @classmethod
     def load(cls, path: str | os.PathLike) -> "TenancyConfig":
         """Parse a ``tenants.json``: ``{"<tenant>": {"rate": ...,
         "burst": ..., "max_inflight": ..., "max_queued": ...,
         "weight": ..., "op_costs": {"search": 8}}, ...}``.  A
         ``"default"`` entry re-bases the class unknown tenants fall
-        into; every omitted field inherits the ``REPRO_TENANT_*`` env
-        default."""
+        into; every omitted field inherits that class's value (without
+        one, the unlimited :class:`TenantPolicy` defaults)."""
         text = Path(path).read_text()
         try:
             data = json.loads(text)
@@ -180,11 +153,10 @@ class TenancyConfig:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: top level must be an object mapping "
                              f"tenant names to policies")
-        base = TenantPolicy.from_env()
-        default = base
+        default = TenantPolicy()
         if DEFAULT_TENANT in data:
             default = _parse_policy(DEFAULT_TENANT, data[DEFAULT_TENANT],
-                                    base)
+                                    default)
         policies = {}
         for name, policy in data.items():
             if not isinstance(name, str) or not name:

@@ -7,7 +7,8 @@ import pytest
 import repro.experiments.cache as cache_mod
 import repro.experiments.engine as engine
 from repro.experiments import SMOKE
-from repro.experiments.engine import grid_cells, n_jobs, parallel_map, run_grid
+from repro.experiments.engine import (grid_cells, n_jobs, parallel_map,
+                                      run_grid, supervised_map)
 from repro.experiments.scenarios import scenario_grid
 
 
@@ -72,9 +73,19 @@ class TestParallelMap:
             [x + 1000 for x in range(8)]
 
     def test_nested_parallelism_suppressed(self):
-        """Inside a worker, n_jobs() must report 1 (no second-tier pools)."""
+        """Inside a worker, n_jobs() reports 1 and a map asking for two
+        workers runs in-process (a daemonic worker cannot fork)."""
         inner = parallel_map(lambda _: n_jobs(), list(range(4)), jobs=2)
         assert inner == [1, 1, 1, 1]
+        nested = {
+            "parallel_map": lambda x: parallel_map(
+                lambda y: x * y, [1, 2, 3], jobs=2),
+            "supervised_map": lambda x: supervised_map(
+                lambda y: x * y, [1, 2, 3], jobs=2, retries=0).results,
+        }
+        for name, outer in nested.items():
+            assert parallel_map(outer, [1, 2, 3, 4], jobs=2) == \
+                [[x, 2 * x, 3 * x] for x in [1, 2, 3, 4]], name
         assert engine._IN_WORKER is False  # parent state untouched
 
     def test_empty_items(self):

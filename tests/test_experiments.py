@@ -159,7 +159,7 @@ class TestCache:
         monkeypatch.setenv("REPRO_CACHE", "off")
         c = ResultsCache()
         c.set("k", 1)
-        assert c.path is None
+        assert c.root is None
         assert c.get("k") == 1  # in-memory only
 
     def test_corrupt_file_ignored(self, tmp_path):

@@ -131,48 +131,3 @@ class TestPlanContainer:
 
     def test_infeasible_describe(self):
         assert "infeasible" in ParallelPlan([], float("inf"), 4).describe()
-
-
-class TestParallelCandidateSweep:
-    """slice_stages(jobs>1) fans the candidate-t_max DPs across the
-    engine pool; the in-order reduction must pick the identical plan."""
-
-    def _random_table(self, n_units, submeshes, seed):
-        import numpy as np
-        rng = np.random.default_rng(seed)
-        t = LatencyTable()
-        for i in range(n_units):
-            for j in range(i + 1, n_units + 1):
-                for mi, m in enumerate(submeshes):
-                    if rng.random() < 0.1:
-                        continue  # leave holes: infeasible entries
-                    t.set(i, j, mi, float(
-                        (j - i) * rng.uniform(0.5, 2.0) / m.num_devices))
-        return t
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bit_identical_to_serial(self, clustering, submeshes, cluster,
-                                     seed):
-        table = self._random_table(clustering.n_units, submeshes, seed)
-        serial = slice_stages(clustering, submeshes, table, 8,
-                              total_devices=cluster.num_devices, jobs=1)
-        par = slice_stages(clustering, submeshes, table, 8,
-                           total_devices=cluster.num_devices, jobs=4)
-        assert par.iteration_latency == serial.iteration_latency
-        assert [(st.unit_range, st.submesh_index, st.latency)
-                for st in par.stages] == \
-            [(st.unit_range, st.submesh_index, st.latency)
-             for st in serial.stages]
-
-    def test_bit_identical_under_schedule(self, clustering, submeshes,
-                                          cluster):
-        from repro.runtime.schedules import get_schedule
-        table = self._random_table(clustering.n_units, submeshes, 7)
-        sched = get_schedule("gpipe")
-        serial = slice_stages(clustering, submeshes, table, 8,
-                              total_devices=cluster.num_devices,
-                              schedule=sched, jobs=1)
-        par = slice_stages(clustering, submeshes, table, 8,
-                           total_devices=cluster.num_devices,
-                           schedule=sched, jobs=4)
-        assert par.iteration_latency == serial.iteration_latency

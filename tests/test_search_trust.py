@@ -63,26 +63,32 @@ class TestCleanPath:
 
 
 class TestWorkerCounts:
+    TRUST = TrustConfig(enabled=True, ensemble_size=2)
+
+    def search(self, fixtures, monkeypatch, env_jobs, jobs):
+        monkeypatch.setenv("REPRO_JOBS", str(env_jobs))
+        r = make_searcher(*fixtures, trust=self.TRUST,
+                          jobs=jobs).search_predtop("gcn")
+        return (tuple((st.layer_range, st.submesh.key())
+                      for st in r.plan.stages),
+                r.true_iteration_latency, r.n_table_entries,
+                r.trust.as_dict())
+
     def test_parallel_search_commits_the_serial_plan(
             self, tiny_gpt, tiny_gpt_clustering, tiny_gpt_profiler,
             monkeypatch):
-        """``REPRO_JOBS`` sets the workers of every sweep a search fans
-        out, the ensemble member fits included (``jobs`` alone leaves
-        those on ``REPRO_JOBS``); the worker count never changes the
-        answer."""
-        trust = TrustConfig(enabled=True, ensemble_size=2)
+        """The searcher's ``jobs`` (``None`` = ``REPRO_JOBS``) sets the
+        workers of every sweep a search fans out, the ensemble member
+        fits included: ``jobs=1`` starts no pool even under
+        ``REPRO_JOBS=2``, and no worker count changes the answer."""
+        from repro.experiments.pool import pool_stats
 
-        def search(workers):
-            monkeypatch.setenv("REPRO_JOBS", str(workers))
-            r = make_searcher(tiny_gpt, tiny_gpt_clustering,
-                              tiny_gpt_profiler, trust=trust,
-                              jobs=None).search_predtop("gcn")
-            return (tuple((st.layer_range, st.submesh.key())
-                          for st in r.plan.stages),
-                    r.true_iteration_latency, r.n_table_entries,
-                    r.trust.as_dict())
-
-        assert search(2) == search(1)
+        fixtures = (tiny_gpt, tiny_gpt_clustering, tiny_gpt_profiler)
+        before = pool_stats().pools_started
+        serial = self.search(fixtures, monkeypatch, 2, 1)
+        assert pool_stats().pools_started == before
+        assert self.search(fixtures, monkeypatch, 2, None) == serial
+        assert self.search(fixtures, monkeypatch, 1, 2) == serial
 
 
 class TestChaosSearch:

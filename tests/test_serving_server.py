@@ -180,6 +180,50 @@ class TestForkedSearchWorkers:
         events = [e["event"] for e in manifest.read_events(tmp_path)]
         assert "cell_retry" not in events
 
+    def test_search_after_reload_answers_from_the_new_model(
+            self, serving_runtime, tmp_path):
+        """Pool workers keep the ensemble they forked with.  A search
+        after a reload must answer from the reloaded model, not from
+        workers forked before it."""
+        from repro.predictors.serialize import load_predictor, save_predictor
+
+        old = serving_runtime.ensemble
+        member = load_predictor(save_predictor(old.members[0],
+                                               tmp_path / "m.npz"))
+        # same weights, predictions scaled 1.5x: a model that differs
+        member.normalizer = dataclasses.replace(
+            member.normalizer,
+            target_scale=member.normalizer.target_scale * 1.5)
+        path = save_predictor(member, tmp_path / "m.npz")
+        srv = ReproServer(serving_runtime, ServerConfig(port=0, workers=1))
+        srv.start()
+        c = Client(srv.address)
+
+        def search(rid, n_micro):
+            resp = c.rpc({"op": "search", "id": rid, "deadline_ms": 60_000,
+                          "params": {"stage_counts": [1, 2],
+                                     "n_microbatches": n_micro}})
+            assert resp["ok"] and resp["served_by"] == "model", resp
+            return resp["result"]
+
+        try:
+            before = search(1, 4)
+            serving_runtime.reload((str(path),))
+            best = search(2, 5)["best"]
+            now = c.rpc({"op": "predict_many", "id": 3,
+                         "params": {"slices": best["stage_units"]}})
+        finally:
+            c.close()
+            srv.stop()
+            serving_runtime.ensemble = old
+        assert now["ok"], now
+        assert best["stage_latencies_s"] == \
+            [p["latency_s"] for p in now["result"]["predictions"]]
+        # and the reloaded model really answers differently
+        assert best["stage_latencies_s"] != next(
+            cand["stage_latencies_s"] for cand in before["candidates"]
+            if cand["stage_units"] == best["stage_units"])
+
 
 class TestHostileClients:
     def test_garbage_line_gets_error_and_connection_survives(self, client):

@@ -48,24 +48,6 @@ class TestTenantPolicy:
         with pytest.raises(ValueError):
             TenantPolicy(**kwargs)
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TENANT_RATE", "5.5")
-        monkeypatch.setenv("REPRO_TENANT_INFLIGHT", "3")
-        monkeypatch.setenv("REPRO_TENANT_SEARCH_COST", "16")
-        p = TenantPolicy.from_env()
-        assert p.rate == 5.5 and p.max_inflight == 3
-        assert p.op_cost("search") == 16
-
-    @pytest.mark.parametrize("name, value", [
-        ("REPRO_TENANT_RATE", "5/s"), ("REPRO_TENANT_INFLIGHT", "two"),
-    ])
-    def test_malformed_env_value_raises_naming_it(self, monkeypatch, name,
-                                                  value):
-        """A typo must not read as 0, which means unlimited."""
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ValueError, match=name):
-            TenantPolicy.from_env()
-
 
 class TestTenancyConfig:
     def test_unknown_tenant_gets_default_policy(self):

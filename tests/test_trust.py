@@ -133,7 +133,7 @@ class TestEnsemble:
         ens = EnsemblePredictor("gcn", seed=0, size=1)
         fit = ens.fit(train, val, TRAIN)
         graphs = [s.graph for s in tiny_corpus]
-        mean, std = ens.predict_graphs(graphs)
+        mean, std = ens.predict_many(graphs)[:2]
         np.testing.assert_array_equal(mean, single.predict_graphs(graphs))
         assert np.all(std == 0.0)
         assert fit.retrained == 0 and not fit.degraded
@@ -143,7 +143,7 @@ class TestEnsemble:
         ens = EnsemblePredictor("gcn", seed=0, size=3)
         ens.fit(train, val, TRAIN)
         graphs = [s.graph for s in tiny_corpus]
-        mean, std = ens.predict_graphs(graphs)
+        mean, std = ens.predict_many(graphs)[:2]
         assert mean.shape == std.shape == (len(graphs),)
         # differently-seeded fits cannot agree bit-for-bit everywhere
         assert float(std.max()) > 0.0
@@ -158,7 +158,7 @@ class TestEnsemble:
         assert fit.retrained == 1 and fit.dropped == 0
         assert not fit.degraded
         assert len(ens.members) == 1
-        mean, _ = ens.predict_graphs([s.graph for s in tiny_corpus])
+        mean = ens.predict_many([s.graph for s in tiny_corpus])[0]
         assert np.all(np.isfinite(mean))
 
     def test_persistent_divergence_degrades(self, tiny_corpus, monkeypatch):
@@ -170,8 +170,8 @@ class TestEnsemble:
         assert fit.retrained == 1 and fit.dropped == 1
         assert fit.degraded
         with pytest.raises(RuntimeError):
-            ens.predict_graphs([s.graph for s in tiny_corpus])
+            ens.predict_many([s.graph for s in tiny_corpus])
 
     def test_unfitted_rejects_prediction(self):
         with pytest.raises(RuntimeError):
-            EnsemblePredictor().predict_graphs([])
+            EnsemblePredictor().predict_many([])
