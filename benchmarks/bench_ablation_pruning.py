@@ -8,13 +8,12 @@ We measure both the graph-size reduction and the accuracy/time effect.
 from repro.experiments import scenario_grid
 from repro.experiments.corpus import benchmark_setup
 from repro.predictors import LatencyPredictor, StageSample, split_dataset
-from repro.runtime import StageProfiler
 
 
 def _corpus(profile, prune):
+    """The stage corpus with the profiler's pruned and fused graphs, or
+    with the traced graphs as they are (neither pruned nor fused)."""
     setup = benchmark_setup("gpt", profile)
-    profiler = StageProfiler(setup.model, prune=prune, fuse=prune,
-                             aggressive_fusion=profile.aggressive_fusion)
     sc = scenario_grid("platform2")[1]
     mesh = sc.mesh()
     samples = []
@@ -22,7 +21,7 @@ def _corpus(profile, prune):
         for (s, e) in setup.clustering.all_slices():
             p = setup.profiler.profile_stage(s, e, mesh, sc.dp, sc.mp,
                                              microbatch=mb)
-            g = profiler.predictor_graph(s, e, microbatch=mb)
+            g = p.graph if prune else setup.model.stage_graph(s, e, mb)
             samples.append(StageSample(g, p.latency, p.stage_id))
     return samples
 

@@ -52,7 +52,7 @@ from ..cluster.mesh import LogicalMesh
 from ..ir.graph import Graph, TensorSpec
 from ..ir.structure import context_signatures
 from ..memo import MemoStats, tier
-from ..runtime.opcost import node_cost_key, op_time, op_time_cached
+from ..runtime.opcost import graph_costs, op_time, op_time_cached
 from .resharding import reshard_cache, reshard_time
 from .sharding import (REPLICATED, ShardingSpec, candidate_specs, spec_by_id,
                        spec_id)
@@ -160,7 +160,7 @@ class _MeshTables:
     * ``sig_tables`` — context signature -> :class:`_NodeTable`, the
       prepare pass's index.  A signature pins ``node_cost_key`` (see
       ``ir.structure``), so it determines the strategy table; indexing by
-      signature lets a hit node skip the cost-key build and slot-op
+      signature lets a hit node skip the structure-key lookup and slot-op
       assembly entirely at prepare time, which is where the cold-solve
       time actually goes;
     * ``vectors`` — context signature -> (forward costs, grouped-by-out-
@@ -209,15 +209,15 @@ def _graph_sigs(graph: Graph) -> list[int]:
     return entry[1]
 
 
-def _build_table(graph: Graph, node, mesh: LogicalMesh) -> _NodeTable:
-    """Strategy table + base costs for an input/literal/operator node."""
+def _build_table(node, in_specs: tuple[TensorSpec, ...], ckey: tuple | None,
+                 mesh: LogicalMesh) -> _NodeTable:
+    """Strategy table + base costs for an input/literal/operator node
+    (``ckey``: the operator's ``node_cost_key``)."""
     if node.node_type in ("input", "literal"):
         strats = tuple(Strategy(f"leaf[{c}]", c, (), 1, 0.0)
                        for c in candidate_specs(node.out, mesh))
         return _NodeTable(strats, np.zeros(len(strats)))
-    in_specs = [graph.nodes[i].out for i in node.inputs]
     gpu = mesh.gpu
-    ckey = node_cost_key(node, in_specs)
     strats = tuple(node_strategies(node, in_specs, mesh))
     if not strats:  # always possible: fully replicated execution, and —
         # matching the reference fallback — without input-edge charges
@@ -265,20 +265,22 @@ class _SolvePlan:
         self.rev = rev
 
 
-def _slot_ops_for(graph: Graph, node, table: _NodeTable, node_tab,
+def _slot_ops_for(graph: Graph, edges: tuple, table: _NodeTable, node_tab,
                   rcache) -> tuple:
     """The per-edge forward contractions of one node: (producer id,
-    amortization share, reshard matrix, required-spec mapping).  Shared
-    by ``_prepare`` and the lazy completion in ``optimize_stage`` so the
-    two produce identical tuples."""
+    amortization share, reshard matrix, required-spec mapping), over its
+    non-leaf ``edges`` (``GraphCosts.edges``: leaf edges reshard for
+    free, an exact 0.0 charge).  Shared by ``_prepare`` and the lazy
+    completion in ``optimize_stage`` so the two produce identical
+    tuples."""
     slot_ops = []
-    for slot, (cols, req_of, has) in enumerate(table.slots):
-        pid = node.inputs[slot]
-        pnode = graph.nodes[pid]
-        if pnode.node_type in ("input", "literal"):
-            continue  # leaf edges reshard for free: exact 0.0 charge
+    slots = table.slots
+    for slot, pid, nbytes in edges:
+        if slot >= len(slots):
+            continue
+        cols, req_of, has = slots[slot]
         share = 1.0 / max(1, len(graph.consumers(pid)))
-        R = rcache.matrix(node_tab[pid].out_ids, cols, pnode.out.nbytes)
+        R = rcache.matrix(node_tab[pid].out_ids, cols, nbytes)
         slot_ops.append((pid, share, R, req_of, has))
     return tuple(slot_ops)
 
@@ -289,19 +291,22 @@ def _prepare(graph: Graph, mesh: LogicalMesh) -> _SolvePlan:
 
     # Tables are indexed by context signature.  Equal signatures imply
     # equal ``node_cost_key`` (ir.structure), which determines the
-    # strategy table — so a previously seen signature skips the cost-key
-    # build, the table construction AND the slot-op assembly; its forward
+    # strategy table — so a previously seen signature skips the table
+    # lookup and construction AND the slot-op assembly; its forward
     # vector comes from the memo at solve time (``slot_ops is None``
     # marks that expectation, with a lazy rebuild in ``optimize_stage``
-    # as the fallback).
+    # as the fallback).  Cost keys, input specs and non-leaf edges come
+    # from the graph's GraphCosts, built once per graph for every mesh.
     fwd: list = []
     sigs = _graph_sigs(graph)
+    costs = graph_costs(graph)
     mesh_tables = _mesh_tables(mesh)
     sig_tables, tables = mesh_tables.sig_tables, mesh_tables.tables
     for node in graph.nodes:
-        table = sig_tables.get(sigs[node.id])
+        nid = node.id
+        table = sig_tables.get(sigs[nid])
         if table is not None:
-            node_tab[node.id] = table
+            node_tab[nid] = table
             fwd.append((table, None))
             continue
         # sig miss: go through the coarser structure-keyed cache so tables
@@ -310,19 +315,19 @@ def _prepare(graph: Graph, mesh: LogicalMesh) -> _SolvePlan:
         if node.node_type == "output":
             key = ("out", node_tab[node.inputs[0]].out_ids)
         elif node.node_type == "operator":
-            key = ("op", node_cost_key(
-                node, [graph.nodes[i].out for i in node.inputs]))
+            key = ("op", costs.cost_keys[nid])
         else:
             key = ("leaf", node.out.shape)
         table = tables.get(key)
         if table is None:
             table = (_output_table(key[1]) if node.node_type == "output"
-                     else _build_table(graph, node, mesh))
+                     else _build_table(node, costs.in_specs[nid],
+                                       costs.cost_keys[nid], mesh))
             tables[key] = table
-        sig_tables[sigs[node.id]] = table
-        node_tab[node.id] = table
-        fwd.append((table, _slot_ops_for(graph, node, table, node_tab,
-                                         rcache)))
+        sig_tables[sigs[nid]] = table
+        node_tab[nid] = table
+        fwd.append((table, _slot_ops_for(graph, costs.edges[nid], table,
+                                         node_tab, rcache)))
 
     rev = []
     for node in reversed(graph.nodes):
@@ -381,8 +386,8 @@ def optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
             # it: another graph's prepare registered the signature and no
             # solve has filled it yet (concurrent solves can interleave
             # this way), so build the node's contractions here
-            slot_ops = _slot_ops_for(graph, graph.nodes[nid], table,
-                                     plan.tables, rcache)
+            slot_ops = _slot_ops_for(graph, graph_costs(graph).edges[nid],
+                                     table, plan.tables, rcache)
         costs = table.base
         for pid, share, R, req_of, has in slot_ops:
             best = (share * group_cost[pid][:, None] + R).min(axis=0)

@@ -15,13 +15,15 @@ the same value, like a warmed-up median measurement would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ..cluster.mesh import LogicalMesh
+from ..ir.graph import Graph
 from ..parallel.intra_op import IntraOpPlan
 from ..parallel.resharding import reshard_cache
 from ..parallel.sharding import spec_id
 from .noise import measurement_factor
-from .opcost import op_time_cached
+from .opcost import graph_costs, op_time_cached
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,8 @@ def execute_plan(plan: IntraOpPlan, noise: bool = True) -> StageProfile:
     """Simulate one execution of ``plan`` and return its profile.
 
     Per-node kernel times and per-edge reshard costs are gathered through
-    the memoized cost tables (``op_time_cached``, the per-mesh
+    the memoized cost tables (``op_time_cached`` with the graph's
+    :class:`~.opcost.GraphCosts`, the per-mesh
     :class:`~repro.parallel.resharding.ReshardCache`) and reduced with
     Python's left-to-right ``sum`` — the identical sequence of float adds
     as a running accumulator, so totals stay bit-identical to the original
@@ -59,55 +62,55 @@ def execute_plan(plan: IntraOpPlan, noise: bool = True) -> StageProfile:
     graph, mesh = plan.graph, plan.mesh
     gpu = mesh.gpu
     rcache = reshard_cache(mesh)
+    costs = graph_costs(graph)
+    assignments = plan.assignments
     compute_terms: list[float] = []
     comm_terms: list[float] = []
     reshard_terms: list[float] = []
     param_bytes = 0.0
     act_bytes = 0.0
 
-    for node in graph.nodes:
-        assign = plan.assignments[node.id]
-        strat = assign.strategy
+    for node, ins, key, forward, edges in zip(
+            graph.nodes, costs.in_specs, costs.cost_keys, costs.forward,
+            costs.edges):
+        strat = assignments[node.id].strategy
         if node.node_type == "operator":
-            in_specs = [graph.nodes[i].out for i in node.inputs]
             compute_terms.append(
-                op_time_cached(node, in_specs, gpu, float(strat.factor)))
+                op_time_cached(node, ins, gpu, float(strat.factor), key))
             comm_terms.append(strat.comm_time)
-            is_forward = not (node.name.startswith("grad")
-                              or node.name.startswith("adam")
-                              or node.name == "loss")
-            if is_forward:
+            if forward:
                 act_bytes += node.out.nbytes / max(1, strat.out.shard_factor(mesh))
         elif node.node_type == "literal" and node.params.get("trainable"):
             local = strat.out.local_bytes(node.out, mesh)
             param_bytes += local / node.out.dtype.itemsize * TRAIN_STATE_BYTES_PER_PARAM
 
         # edge resharding
-        for slot, pid in enumerate(node.inputs):
-            pnode = graph.nodes[pid]
-            if pnode.node_type in ("input", "literal"):
-                continue
-            if slot >= len(strat.ins):
-                continue
-            src = plan.assignments[pid].out_spec
-            dst = strat.ins[slot]
-            reshard_terms.append(
-                rcache.time(spec_id(src), spec_id(dst), pnode.out.nbytes))
+        for slot, pid, nbytes in edges:
+            if slot < len(strat.ins):
+                src = assignments[pid].out_spec
+                reshard_terms.append(
+                    rcache.time(spec_id(src), spec_id(strat.ins[slot]), nbytes))
 
     compute = sum(compute_terms, 0.0)
     comm = sum(comm_terms, 0.0)
     reshard = sum(reshard_terms, 0.0)
-    total = compute + comm + reshard
-    if noise:
-        total *= measurement_factor(graph.name, mesh.key())
     # activations for the backward pass are the dominant transient; keep a
     # conservative half of the forward outputs as live working set
     memory = param_bytes + 0.5 * act_bytes
-    return StageProfile(
-        latency=total,
+    profile = StageProfile(
+        latency=compute + comm + reshard,
         compute_time=compute,
         comm_time=comm,
         reshard_time=reshard,
         memory_bytes=memory,
         n_nodes=len(graph),
     )
+    return measured(profile, graph, mesh) if noise else profile
+
+
+def measured(profile: StageProfile, graph: Graph,
+             mesh: LogicalMesh) -> StageProfile:
+    """``profile`` as profiling ``graph`` on ``mesh`` reads it: its latency
+    scaled by the measurement-noise factor of that (graph name, mesh)."""
+    return replace(profile, latency=profile.latency
+                   * measurement_factor(graph.name, mesh.key()))

@@ -20,10 +20,11 @@ elementwise ops, efficiency cliffs on skinny GEMMs).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from ..cluster.gpu import GPUSpec
-from ..ir.graph import Node, TensorSpec
+from ..ir.graph import Graph, Node, TensorSpec
 from ..ir.ops import node_bytes, node_flops, op_def
 from ..memo import tier
 
@@ -130,6 +131,71 @@ def op_time_cached(
         t = op_time(node, input_specs, gpu, shard_factor)
         _OP_TIMES[ck] = t
     return t
+
+
+class GraphCosts:
+    """The per-node inputs of the cost models that depend on one graph
+    alone, built once per graph object and read by every intra-op solve
+    and every execution of it, on any mesh.
+
+    * ``forward`` — per node, True for an operator of the forward pass,
+      which the executor reads off labels; ``forward_key`` packs the
+      flags as bytes for memo keys, because ``canonical_hash`` leaves
+      labels out;
+    * ``in_specs`` — each node's input tensor specs;
+    * ``cost_keys`` — :func:`node_cost_key` of each operator, ``None``
+      for the other nodes;
+    * ``edges`` — each node's ``(slot, producer id, producer bytes)``
+      over producers that are not leaves: edges out of stage inputs and
+      parameters never reshard.
+
+    The last three are built on first use: a graph whose plan and
+    execution are both memo hits needs only ``forward_key``.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        #: a snapshot: graphs are append-only, and a longer graph gets a
+        #: new table (:func:`graph_costs`)
+        self.nodes = tuple(graph.nodes)
+        # the training graph labels its backward, loss and update
+        # equations ``grad*``, ``loss`` and ``adam*`` (``ir.autodiff``)
+        self.forward = tuple(
+            n.node_type == "operator"
+            and not (n.name.startswith(("grad", "adam")) or n.name == "loss")
+            for n in self.nodes)
+        self.forward_key = bytes(self.forward)
+
+    @cached_property
+    def in_specs(self) -> tuple[tuple[TensorSpec, ...], ...]:
+        nodes = self.nodes
+        return tuple(tuple(nodes[i].out for i in n.inputs) for n in nodes)
+
+    @cached_property
+    def cost_keys(self) -> tuple[tuple | None, ...]:
+        return tuple(node_cost_key(n, ins) if n.node_type == "operator"
+                     else None for n, ins in zip(self.nodes, self.in_specs))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        nodes = self.nodes
+        return tuple(
+            tuple((slot, pid, nodes[pid].out.nbytes)
+                  for slot, pid in enumerate(n.inputs)
+                  if nodes[pid].node_type not in ("input", "literal"))
+            for n in nodes)
+
+
+_GRAPH_COSTS = tier("runtime.graph_costs", "graph object (weak)",
+                    weak=True).entries
+
+
+def graph_costs(graph: Graph) -> GraphCosts:
+    """The :class:`GraphCosts` of ``graph`` (memoized on the object)."""
+    costs = _GRAPH_COSTS.get(graph)
+    if costs is None or len(costs.nodes) != len(graph):
+        costs = GraphCosts(graph)
+        _GRAPH_COSTS[graph] = costs
+    return costs
 
 
 def graph_flops(graph) -> float:

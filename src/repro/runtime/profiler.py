@@ -8,7 +8,12 @@ the ground-truth latency (the predictor's regression target) and the
 trials), which Fig 10a accounts.
 
 Results are memoized per (model, slice, microbatch, mesh, config) — the
-reproduction's stand-in for Alpa's profiling database.
+reproduction's stand-in for Alpa's profiling database.  Below that, each
+piece of structural work runs once per process: a slice is traced once
+(the training graph expands the predictor's lowered forward), structural
+twins share one intra-op solve (``parallel.plans``) and one noise-free
+execution (``runtime.executions``), and each measurement applies its own
+noise factor.
 """
 
 from __future__ import annotations
@@ -20,10 +25,19 @@ from ..ir.autodiff import build_training_graph
 from ..ir.fusion import fuse_elementwise
 from ..ir.graph import Graph
 from ..ir.pruning import prune_graph
-from ..memo import MEMO_BOUND, Memo
+from ..ir.serialize import canonical_hash
+from ..memo import MEMO_BOUND, Memo, tier
 from ..models.model import Model
 from ..parallel.plan_cache import cached_optimize_stage
-from .executor import StageProfile, execute_plan
+from .executor import StageProfile, execute_plan, measured
+from .opcost import graph_costs
+
+#: noise-free executions of committed plans.  An execution reads the
+#: training graph's structure, the plan (which ``parallel.plans`` keys the
+#: same way) and the logical mesh, plus one input ``canonical_hash``
+#: leaves out: each operator's forward flag, which comes from its label
+EXECUTIONS = tier("runtime.executions",
+                  "(canonical graph hash, logical mesh key, forward flags)")
 
 
 @dataclass(frozen=True)
@@ -62,13 +76,15 @@ def profiling_cost(n_nodes: int, latency: float) -> float:
 
 
 class StageProfiler:
-    """Profiles model stages on logical meshes, with memoization."""
+    """Profiles model stages on logical meshes, with memoization.
 
-    def __init__(self, model: Model, fuse: bool = True, prune: bool = True,
-                 aggressive_fusion: bool = False) -> None:
+    Every stage graph is pruned (§IV-B4) and fused; ``aggressive_fusion``
+    also folds single-consumer reductions and data movement into the
+    fused chains.  The traced, unpruned graph is ``Model.stage_graph``.
+    """
+
+    def __init__(self, model: Model, aggressive_fusion: bool = False) -> None:
         self.model = model
-        self.fuse = fuse
-        self.prune = prune
         self.aggressive_fusion = aggressive_fusion
         self._profiles = Memo("runtime.profiles",
                               "(start, end, microbatch, mesh, dp, mp)")
@@ -89,25 +105,21 @@ class StageProfiler:
         key = ("pred", start, end, microbatch)
         g = self.graphs.lookup(key)
         if g is None:
-            g = self.model.stage_graph(start, end, microbatch)
-            if self.prune:
-                g = prune_graph(g)
-            if self.fuse:
-                g, _ = fuse_elementwise(g, self.aggressive_fusion)
+            g = prune_graph(self.model.stage_graph(start, end, microbatch))
+            g, _ = fuse_elementwise(g, self.aggressive_fusion)
             g = self.graphs.put(key, g)
         return g
 
     def training_graph(self, start: int, end: int,
                        microbatch: int | None = None) -> Graph:
-        """The graph whose execution the profiler times (fwd+bwd+update)."""
+        """The graph whose execution the profiler times (fwd+bwd+update):
+        the predictor graph, expanded, so a slice is traced once."""
         key = ("train", start, end, microbatch)
         g = self.graphs.lookup(key)
         if g is None:
-            g = self.model.stage_graph(start, end, microbatch)
-            g = prune_graph(g)
-            g, _ = fuse_elementwise(g, self.aggressive_fusion)
             g = build_training_graph(
-                g, loss_to_scalar=(end == len(self.model.layers)))
+                self.predictor_graph(start, end, microbatch),
+                loss_to_scalar=(end == len(self.model.layers)))
             g = self.graphs.put(key, g)
         return g
 
@@ -129,9 +141,14 @@ class StageProfiler:
         logical = mesh.logical(dp, mp)
         tg = self.training_graph(start, end, microbatch)
         # structurally identical slices (e.g. interior layer ranges of the
-        # same width) share one intra-op DP solve through the plan cache
+        # same width) share one intra-op DP solve through the plan cache,
+        # and one noise-free execution, each measurement keeping its own
+        # noise.  The plan lookup goes first: it hashes ``tg``
         plan = cached_optimize_stage(tg, logical)
-        prof = execute_plan(plan)
+        clean = EXECUTIONS.get(
+            (canonical_hash(tg), logical.key(), graph_costs(tg).forward_key),
+            lambda: execute_plan(plan, noise=False))
+        prof = measured(clean, tg, logical)
         result = ProfiledStage(
             stage_id=f"{self.model.name}[{start}:{end}]",
             layer_range=(start, end),

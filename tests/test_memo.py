@@ -82,11 +82,16 @@ class TestMemo:
 
 class TestRegistry:
     def test_clear_all_empties_every_registered_tier(self, tiny_gpt_profiler):
-        mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(2, 1)
+        device = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE)
+        mesh = device.logical(2, 1)
         clear_all()
         cached_optimize_stage(tiny_gpt_profiler.training_graph(0, 1), mesh)
         encoding_cache.cached_encoding(
             tiny_gpt_profiler.predictor_graph(0, 1))
+        # a fresh profiler, because the shared fixture's may already hold
+        # this stage; it lives to the end, as weak tiers die with its graphs
+        profiler = StageProfiler(tiny_gpt_profiler.model)
+        profiler.profile_stage(0, 1, device, 2, 1)
         filled = snapshot()
         assert all(t["entries"] for t in filled.values()), filled
         assert any(t["hits"] + t["misses"] for t in filled.values())
