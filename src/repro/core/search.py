@@ -21,6 +21,7 @@ of the same structure.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +109,12 @@ class PlanSearcher:
         self.trust = trust or TrustConfig.from_env()
         #: stable task callable for the engine's persistent pool — a fresh
         #: lambda per sweep would change the fn identity and force a pool
-        #: restart on every ``_measure_many`` call
-        self._measure_task = lambda pair: self._measure(*pair)
+        #: restart on every ``_measure_many`` call.  It holds the searcher
+        #: weakly: a strong reference would make every searcher cyclic
+        #: garbage (with its profiler and graphs), and the pool, which
+        #: keeps its last ``fn``, would pin the last one
+        measure = weakref.WeakMethod(self._measure)
+        self._measure_task = lambda pair: measure()(*pair)
         self._slices = clustering.all_slices()
         self._unit_slices = [
             (i, j) for i in range(clustering.n_units)
@@ -263,6 +268,7 @@ class PlanSearcher:
         rest_graphs = [self.profiler.predictor_graph(
             *self.clustering.slice_range(ui, uj)) for (ui, uj) in rest]
         ensemble_size = tcfg.ensemble_size if tcfg.enabled else 1
+        seed, train_config, jobs = self.seed, self.train_config, self.jobs
 
         def fit_and_predict(item: tuple[int, list[StageSample]]):
             """Train one per-submesh ensemble, predict the unprofiled rest.
@@ -270,20 +276,20 @@ class PlanSearcher:
             Returns ``(status, mean, std, ood, train_s, infer_s,
             retrained, detail)``; any exception — including an injected
             ``predictor_error`` — degrades the submesh instead of
-            aborting the search.
+            aborting the search.  It reads no ``self``: the pool keeps
+            its last task, which must not pin the searcher.
             """
             mi, samples = item
             wall = 0.0
             try:
-                rng = np.random.default_rng(self.seed)
+                rng = np.random.default_rng(seed)
                 order = rng.permutation(len(samples))
                 n_val = max(1, len(samples) // 6)
                 val = [samples[i] for i in order[:n_val]]
                 train = [samples[i] for i in order[n_val:]]
-                ensemble = EnsemblePredictor(kind, seed=self.seed,
+                ensemble = EnsemblePredictor(kind, seed=seed,
                                              size=ensemble_size)
-                fit = ensemble.fit(train, val, self.train_config,
-                                   jobs=self.jobs)
+                fit = ensemble.fit(train, val, train_config, jobs=jobs)
                 wall = fit.wall_seconds
                 if fit.degraded:
                     return ("degraded", None, None, None, wall, 0.0,

@@ -85,6 +85,11 @@ def canonical_graph_dict(graph: Graph) -> dict[str, Any]:
 def canonical_hash(graph: Graph) -> str:
     """Hex SHA-256 of the canonical (name-free) graph structure.
 
+    The digest reads what :func:`canonical_graph_dict` encodes (the
+    tests' oracle), without building it: one self-delimiting record per
+    node, the ``repr`` of ``(op, inputs, shape, dtype name, node type,
+    sorted params)``, with lists and tuples in params read alike.
+
     Memoized on the graph object: graphs are append-only, so the digest
     is invalidated only by ``Graph.add_node``.  ``getattr`` keeps this
     working for graph objects deserialized without the memo slot.
@@ -92,14 +97,30 @@ def canonical_hash(graph: Graph) -> str:
     memo = getattr(graph, "_canonical_hash", None)
     if memo is not None:
         return memo
-    text = json.dumps(canonical_graph_dict(graph), sort_keys=True,
-                      separators=(",", ":"))
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    h = hashlib.sha256()
+    for n in graph.nodes:
+        out = n.out
+        h.update(repr((n.op, n.inputs, out.shape, out.dtype.name,
+                       n.node_type,
+                       _canonical(n.params) if n.params else ())).encode())
+    digest = h.hexdigest()
     try:
         graph._canonical_hash = digest
     except AttributeError:  # slotted/frozen graph stand-ins in tests
         pass
     return digest
+
+
+def _canonical(value: Any) -> Any:
+    """``value`` with dicts key-sorted, lists read as tuples and float
+    subclasses as floats, at every depth, as the JSON encoding reads it."""
+    if isinstance(value, dict):
+        return {k: _canonical(value[k]) for k in sorted(value)}
+    if isinstance(value, (tuple, list)):
+        return tuple(_canonical(v) for v in value)
+    if isinstance(value, float):
+        return float(value)
+    return value
 
 
 def _encode_params(params: dict[str, Any]) -> dict[str, Any]:

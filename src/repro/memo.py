@@ -16,7 +16,9 @@ tiers is a :class:`Memo`:
   tiers a client can grow are bounded (:data:`MEMO_BOUND`).
 
 Every memo's lock is built by :func:`fork_safe_lock`, the one rule for
-locks a forked pool worker can take.
+locks a forked pool worker can take.  Beside it sits :func:`gc_paused`,
+the cyclic-collector pause that the profiler's memo misses run under,
+with the same care for forked workers.
 
 Memos built with :func:`tier` are module-level and registered:
 :func:`clear_all` empties them and resets their counters (tests and
@@ -46,10 +48,12 @@ Rules the tiers built on this rely on:
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -80,7 +84,8 @@ def fork_safe_lock(factory: Callable[[], V] = threading.Lock) -> V:
     * each :class:`Memo`'s lock (a worker reads and fills the tiers);
     * ``PredictorRuntime.model_lock`` (a daemon search candidate
       predicts through the ensemble in a worker);
-    * ``sharding._INTERN_LOCK`` (a worker interns sharding specs).
+    * ``sharding._INTERN_LOCK`` (a worker interns sharding specs);
+    * the lock of :func:`gc_paused` (a worker profiles stages).
 
     The breaker, tenancy, server and router locks stay plain, parent-only
     locks: they guard admission, queues, connections, counters and
@@ -98,6 +103,86 @@ def _reinit_locks_after_fork() -> None:
 
 
 os.register_at_fork(after_in_child=_reinit_locks_after_fork)
+
+
+#: live :func:`gc_paused` blocks per thread id, and the collector state
+#: the outermost one found
+_GC_LOCK = fork_safe_lock()
+_GC_DEPTH: dict[int, int] = {}
+_GC_WAS_ENABLED = True
+
+
+@contextmanager
+def gc_paused():
+    """Run the block with Python's cyclic collector disabled.
+
+    Stage profiling (graph builds, plan solves, executions) allocates
+    hundreds of thousands of objects and frees them all by refcount:
+    it makes no cyclic garbage.  Collector passes triggered by those
+    allocations find nothing, yet each older-generation pass walks every
+    memo tier.  So the profiler's miss paths run paused, and code on
+    them must stay cycle-free (``tests/test_cycle_free.py``).  Never
+    pause around model training: the seed autograd path builds cyclic
+    tapes.
+
+    Reentrant and thread-safe: the collector is process-wide, so the
+    first block to enter (in any thread) records ``gc.isenabled()`` and
+    disables it, and the last to leave restores what it recorded; a
+    caller that disabled the collector itself keeps it disabled.
+    Thresholds are left alone.
+    """
+    global _GC_WAS_ENABLED
+    me = threading.get_ident()
+    with _GC_LOCK:
+        if not _GC_DEPTH:
+            _GC_WAS_ENABLED = gc.isenabled()
+            gc.disable()
+        _GC_DEPTH[me] = _GC_DEPTH.get(me, 0) + 1
+    try:
+        yield
+    finally:
+        with _GC_LOCK:
+            if _GC_DEPTH[me] == 1:
+                del _GC_DEPTH[me]
+            else:
+                _GC_DEPTH[me] -= 1
+            if not _GC_DEPTH and _GC_WAS_ENABLED:
+                gc.enable()
+
+
+def gc_pause_depth() -> int:
+    """Live :func:`gc_paused` blocks, over all threads."""
+    with _GC_LOCK:
+        return sum(_GC_DEPTH.values())
+
+
+def gc_snapshot() -> dict:
+    """The collector's own counters, as ``health`` reports them: per
+    generation its ``collections``, ``collected`` and ``uncollectable``
+    totals, the allocation ``count`` towards each generation's next
+    pass, and the live pause depth.  Reading them costs nothing: no
+    callbacks are installed."""
+    return {"generations": gc.get_stats(), "count": list(gc.get_count()),
+            "paused": gc_pause_depth()}
+
+
+def _gc_pauses_after_fork() -> None:
+    # only the forking thread lives on in the child: keep its blocks, so
+    # the collector comes back when they exit, and drop the others', so
+    # a worker forked while another thread profiles does not run with
+    # the collector off for good
+    if not _GC_DEPTH:
+        return
+    me = threading.get_ident()
+    mine = _GC_DEPTH.get(me)
+    _GC_DEPTH.clear()
+    if mine:
+        _GC_DEPTH[me] = mine
+    elif _GC_WAS_ENABLED:
+        gc.enable()
+
+
+os.register_at_fork(after_in_child=_gc_pauses_after_fork)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from ..ir.fusion import fuse_elementwise
 from ..ir.graph import Graph
 from ..ir.pruning import prune_graph
 from ..ir.serialize import canonical_hash
-from ..memo import MEMO_BOUND, Memo, tier
+from ..memo import MEMO_BOUND, Memo, gc_paused, tier
 from ..models.model import Model
 from ..parallel.plan_cache import cached_optimize_stage
 from .executor import StageProfile, execute_plan, measured
@@ -105,8 +105,9 @@ class StageProfiler:
         key = ("pred", start, end, microbatch)
         g = self.graphs.lookup(key)
         if g is None:
-            g = prune_graph(self.model.stage_graph(start, end, microbatch))
-            g, _ = fuse_elementwise(g, self.aggressive_fusion)
+            with gc_paused():
+                g = prune_graph(self.model.stage_graph(start, end, microbatch))
+                g, _ = fuse_elementwise(g, self.aggressive_fusion)
             g = self.graphs.put(key, g)
         return g
 
@@ -117,9 +118,10 @@ class StageProfiler:
         key = ("train", start, end, microbatch)
         g = self.graphs.lookup(key)
         if g is None:
-            g = build_training_graph(
-                self.predictor_graph(start, end, microbatch),
-                loss_to_scalar=(end == len(self.model.layers)))
+            with gc_paused():
+                g = build_training_graph(
+                    self.predictor_graph(start, end, microbatch),
+                    loss_to_scalar=(end == len(self.model.layers)))
             g = self.graphs.put(key, g)
         return g
 
@@ -138,28 +140,30 @@ class StageProfiler:
         hit = self._profiles.lookup(key)
         if hit is not None:
             return hit
-        logical = mesh.logical(dp, mp)
-        tg = self.training_graph(start, end, microbatch)
-        # structurally identical slices (e.g. interior layer ranges of the
-        # same width) share one intra-op DP solve through the plan cache,
-        # and one noise-free execution, each measurement keeping its own
-        # noise.  The plan lookup goes first: it hashes ``tg``
-        plan = cached_optimize_stage(tg, logical)
-        clean = EXECUTIONS.get(
-            (canonical_hash(tg), logical.key(), graph_costs(tg).forward_key),
-            lambda: execute_plan(plan, noise=False))
-        prof = measured(clean, tg, logical)
-        result = ProfiledStage(
-            stage_id=f"{self.model.name}[{start}:{end}]",
-            layer_range=(start, end),
-            mesh_key=mesh.key(),
-            dp=dp,
-            mp=mp,
-            graph=self.predictor_graph(start, end, microbatch),
-            latency=prof.latency,
-            profile=prof,
-            profiling_cost=profiling_cost(len(tg), prof.latency),
-        )
+        with gc_paused():
+            logical = mesh.logical(dp, mp)
+            tg = self.training_graph(start, end, microbatch)
+            # structurally identical slices (e.g. interior layer ranges of
+            # the same width) share one intra-op DP solve through the plan
+            # cache, and one noise-free execution, each measurement keeping
+            # its own noise.  The plan lookup goes first: it hashes ``tg``
+            plan = cached_optimize_stage(tg, logical)
+            clean = EXECUTIONS.get(
+                (canonical_hash(tg), logical.key(),
+                 graph_costs(tg).forward_key),
+                lambda: execute_plan(plan, noise=False))
+            prof = measured(clean, tg, logical)
+            result = ProfiledStage(
+                stage_id=f"{self.model.name}[{start}:{end}]",
+                layer_range=(start, end),
+                mesh_key=mesh.key(),
+                dp=dp,
+                mp=mp,
+                graph=self.predictor_graph(start, end, microbatch),
+                latency=prof.latency,
+                profile=prof,
+                profiling_cost=profiling_cost(len(tg), prof.latency),
+            )
         return self._profiles.put(key, result)
 
     def prime(self, profiled: ProfiledStage,

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from .. import faults
 from ..experiments.manifest import append_event
-from ..memo import Memo, snapshot
+from ..memo import Memo, gc_snapshot, snapshot
 from .batcher import MicroBatcher, _Pending
 from .breaker import BreakerConfig, CircuitBreaker
 from .protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError,
@@ -763,6 +763,7 @@ class ReproServer(ConnectionCore):
             "caches": {**snapshot(),
                        **{m.name: m.describe() for m in (
                            self.searches, self.runtime.profiler.graphs)}},
+            "gc": gc_snapshot(),
             "runtime": self.runtime.describe(),
         }
 

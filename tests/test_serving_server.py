@@ -84,6 +84,22 @@ class TestRouting:
         assert caches["runtime.stage_graphs"]["bound"] == MEMO_BOUND
         assert caches["serving.search"]["bound"] == SEARCH_CACHE_SIZE
 
+    def test_health_reports_the_collector(self, client):
+        """``health.gc``: per-generation pass counts from the collector
+        itself, its allocation counts and the live pause depth (0 on an
+        idle daemon, which profiles nothing)."""
+        import gc
+
+        before = client.rpc({"op": "health", "id": "g"})["result"]["gc"]
+        gc.collect()  # the daemon shares this process: one full pass
+        after = client.rpc({"op": "health", "id": "g"})["result"]["gc"]
+        assert len(after["generations"]) == len(after["count"]) == 3
+        for gen in after["generations"]:
+            assert set(gen) == {"collections", "collected", "uncollectable"}
+        assert (after["generations"][2]["collections"]
+                > before["generations"][2]["collections"])
+        assert after["paused"] == 0
+
     def test_predict(self, client):
         resp = client.rpc({"op": "predict", "id": 1,
                            "params": {"slice": [0, 2]}})
