@@ -123,7 +123,8 @@ def cmd_info(args) -> int:
         print(f"  {name} [{tier['key']}]: bound {tier['bound']}{pinned}")
     print(f"  per profiler: runtime.stage_graphs bound {MEMO_BOUND}, "
           f"runtime.profiles bound None; per daemon: serving.search "
-          f"bound {SEARCH_CACHE_SIZE}")
+          f"bound {SEARCH_CACHE_SIZE}; per serving runtime: "
+          f"serving.predictions and serving.estimates bound {MEMO_BOUND}")
     print("\nexit codes: 0 = ok, 1 = error, 2 = partial results, "
           "3 = degraded-only service")
     return EXIT_OK

@@ -37,6 +37,26 @@ from .runtime import PredictorRuntime
 from .tenancy import FairQueue
 
 
+class Counters:
+    """Thread-safe monotonic counters for the health endpoint."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._values: dict[str, int] = {}
+
+    def inc(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            self._values[name] = self._values.get(name, 0) + n
+
+    def get(self, name: str) -> int:
+        with self._lock:
+            return self._values.get(name, 0)
+
+    def snapshot(self) -> dict[str, int]:
+        with self._lock:
+            return dict(sorted(self._values.items()))
+
+
 @dataclass
 class _Pending:
     """One enqueued prediction awaiting its batch."""
@@ -77,6 +97,10 @@ class MicroBatcher:
             max_queued_of=max_queued_of)
         self.batches = 0
         self.coalesced = 0
+        #: answers by ``served_by``, and the trust verdict of each
+        #: prediction in them (``analytical`` on the degraded path)
+        self.served = Counters()
+        self.verdicts = Counters()
         self._thread = threading.Thread(target=self._loop,
                                         name="repro-serve-batcher",
                                         daemon=True)
@@ -170,6 +194,9 @@ class MicroBatcher:
                                     f"{suspect} suspect verdict(s)"
                                     if suspect else "")
         degraded = served_by != "model"
+        self.served.inc(served_by, len(live))
+        for result in results:
+            self.verdicts.inc(result["verdict"])
         cursor = 0
         for item in live:
             chunk = results[cursor:cursor + len(item.graphs)]

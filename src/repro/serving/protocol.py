@@ -57,7 +57,7 @@ OP_SUMMARIES = {
     "whatif": "predicted iteration latency across pipeline schedules",
     "search": "pipeline-depth plan search under the request deadline",
     "health": "readiness/liveness, queue depth, breaker states, counters, "
-              "memo tiers",
+              "answers and trust verdicts per route, memo tiers",
 }
 
 ERROR_CODES = ("invalid_request", "unknown_op", "bad_params", "overloaded",

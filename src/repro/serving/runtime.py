@@ -16,7 +16,19 @@ thread.  It owns:
   path of a serial request stream;
 * a **model lock** — the nn forward stack and ensemble bookkeeping are
   not reentrant, so model-path calls serialize; the analytical path is
-  lock-free and stays fast under degradation (exactly when it matters).
+  lock-free and stays fast under degradation (exactly when it matters);
+* two **prediction memos**, keyed on the canonical graph hash:
+  ``serving.predictions`` holds the ensemble's ``(mean, std, ood)`` per
+  graph for the current model generation, ``serving.estimates`` the
+  calibrated analytical estimate.  Each distinct graph costs one model
+  forward and one estimate per generation, whichever route asks
+  (``predict``/``predict_many`` on the micro-batcher, ``whatif`` on the
+  executor, search candidates in forked pool workers, which inherit the
+  entries at fork and then keep their own).  The first answer for a
+  (graph, generation) pair is the answer from then on, so once the
+  daemon has answered a slice, ``predict``, ``whatif`` and ``search``
+  return it bit for bit; without the memo the last bits of a model
+  answer depend on which graphs share its padded batch.
 
 Request-shaped helpers (:meth:`PredictorRuntime.resolve_graphs`,
 :meth:`whatif`, :meth:`evaluate_candidate`) raise
@@ -37,7 +49,7 @@ from ..cluster.platforms import MESH_CONFIGS, PLATFORMS, get_platform
 from ..core.sampling import stratified_sample
 from ..ir.graph import Graph
 from ..ir.serialize import canonical_hash, graph_from_dict
-from ..memo import fork_safe_lock
+from ..memo import MEMO_BOUND, Memo, fork_safe_lock
 from ..models.clustering import Clustering, cluster_layers
 from ..models.configs import BENCHMARKS, benchmark_config
 from ..models.model import build_model
@@ -101,16 +113,37 @@ class PredictorRuntime:
         self.clustering = clustering
         self.profiler = profiler
         self.mesh = mesh
-        self.ensemble = ensemble
+        self._ensemble = ensemble
         self.analytical = analytical
         self.trust = trust
         self.config = config
         self.model_lock = fork_safe_lock(threading.RLock)
         self._model_calls = 0
-        #: bumped on every ensemble reload; cache keys embed it so a
+        #: bumped on every ensemble swap; cache keys embed it so a
         #: hot-swapped model invalidates cached search answers for free
         self.generation = 0
         self._structural_hash: str | None = None
+        #: the ensemble's (mean, std, ood) per graph; emptied on a swap
+        self.predictions = Memo("serving.predictions", "canonical graph hash",
+                                bound=MEMO_BOUND)
+        #: the calibrated analytical estimate per graph (it depends on
+        #: the graph alone, so entries live as long as the runtime)
+        self.estimates = Memo("serving.estimates", "canonical graph hash",
+                              bound=MEMO_BOUND)
+
+    @property
+    def ensemble(self) -> EnsemblePredictor | None:
+        return self._ensemble
+
+    @ensemble.setter
+    def ensemble(self, fresh: EnsemblePredictor | None) -> None:
+        """The one way to swap models: under ``model_lock``, bump the
+        generation (which also restarts the daemon's search pool, so no
+        worker keeps the old ensemble) and drop its memoized answers."""
+        with self.model_lock:
+            self._ensemble = fresh
+            self.generation += 1
+            self.predictions.clear()
 
     # --------------------------------------------------------------- build
     @classmethod
@@ -242,7 +275,10 @@ class PredictorRuntime:
         ``use_model=False`` (breaker open / model dead) serves the
         calibrated analytical estimate.  The model path may raise — an
         injected ``predictor_error``, a dead ensemble — and the *caller*
-        decides whether to retry, degrade, or fail the request.
+        decides whether to retry, degrade, or fail the request.  Every
+        model-path call counts towards the fault indices and fires
+        ``predictor_error`` before it reads the memo, so chaos specs
+        poison the same calls whether or not the answers are memoized.
         """
         if not use_model or self.ensemble is None:
             return self._analytical_batch(graphs), 0, "analytical"
@@ -250,15 +286,18 @@ class PredictorRuntime:
             idx = self._model_calls
             self._model_calls += 1
             faults.fire("predictor_error", idx)
-            mean, std, ood = self.ensemble.predict_many(graphs)
+            answers = self._model_answers(graphs)
             rule = faults.check("predict_garbage", idx)
             if rule is not None:
-                mean = faults.garbage_predictions(mean, idx, rule)
-        ana = self.analytical.predict_graphs(graphs)
+                # corrupts this call's answers only, never the memo
+                mean = faults.garbage_predictions([a[0] for a in answers],
+                                                  idx, rule)
+                answers = [(float(m), std, ood)
+                           for m, (_, std, ood) in zip(mean, answers)]
         results, suspect = [], 0
-        for k in range(len(graphs)):
-            guarded = assess(float(mean[k]), float(std[k]), float(ood[k]),
-                             float(ana[k]), self.trust)
+        for (mean, std, ood), estimate in zip(answers,
+                                              self._estimates(graphs)):
+            guarded = assess(mean, std, ood, estimate, self.trust)
             if not guarded.trusted:
                 suspect += 1
             results.append({
@@ -271,13 +310,35 @@ class PredictorRuntime:
             })
         return results, suspect, "model"
 
+    def _model_answers(self, graphs: list[Graph]
+                       ) -> list[tuple[float, float, float]]:
+        """(mean, std, ood) per graph: memo hits, plus one
+        ``predict_many`` over the misses in request order, duplicates
+        kept, so a call with no hits answers exactly what the ensemble
+        does.  The caller holds ``model_lock``."""
+        keys = [canonical_hash(g) for g in graphs]
+        answers = [self.predictions.lookup(key) for key in keys]
+        missing = [k for k, answer in enumerate(answers) if answer is None]
+        if missing:
+            mean, std, ood = self._ensemble.predict_many(
+                [graphs[k] for k in missing])
+            for j, k in enumerate(missing):
+                answers[k] = (float(mean[j]), float(std[j]), float(ood[j]))
+                self.predictions.put(keys[k], answers[k])
+        return answers
+
+    def _estimates(self, graphs: list[Graph]) -> list[float]:
+        """The calibrated analytical estimate per graph, memoized."""
+        return [self.estimates.get(
+            canonical_hash(g),
+            lambda g=g: float(self.analytical.predict_graphs([g])[0]))
+            for g in graphs]
+
     def _analytical_batch(self, graphs: list[Graph]) -> list[dict]:
-        values = self.analytical.predict_graphs(graphs)
-        return [{"latency_s": float(v), "raw": float(v), "std": 0.0,
+        return [{"latency_s": v, "raw": v, "std": 0.0,
                  "ood": 0.0, "verdict": "analytical",
-                 "bounds_s": [float(v) / self.trust.alpha,
-                              float(v) * self.trust.alpha]}
-                for v in values]
+                 "bounds_s": [v / self.trust.alpha, v * self.trust.alpha]}
+                for v in self._estimates(graphs)]
 
     # --------------------------------------------------------------- whatif
     def _partition(self, n_stages: int) -> list[tuple[int, int]]:
@@ -405,7 +466,4 @@ class PredictorRuntime:
         """
         members = [load_predictor(path) for path in checkpoints]
         stats = self.ensemble.feature_stats if self.ensemble else None
-        fresh = EnsemblePredictor.from_members(members, stats)
-        with self.model_lock:
-            self.ensemble = fresh
-            self.generation += 1
+        self.ensemble = EnsemblePredictor.from_members(members, stats)

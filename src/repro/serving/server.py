@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from .. import faults
 from ..experiments.manifest import append_event
 from ..memo import Memo, gc_snapshot, snapshot
-from .batcher import MicroBatcher, _Pending
+from .batcher import Counters, MicroBatcher, _Pending
 from .breaker import BreakerConfig, CircuitBreaker
 from .protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError,
                        Request, encode_response, error_response, ok_response,
@@ -99,26 +99,6 @@ class ServerConfig:
     #: this daemon's position in a router fleet (fault site
     #: ``replica_slow`` keys on it; 0 for a standalone daemon)
     replica_ordinal: int = 0
-
-
-class Counters:
-    """Thread-safe monotonic counters for the health endpoint."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._values: dict[str, int] = {}
-
-    def inc(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._values[name] = self._values.get(name, 0) + n
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._values.get(name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(sorted(self._values.items()))
 
 
 class ConnectionCore:
@@ -416,6 +396,14 @@ class ReproServer(ConnectionCore):
             max(1, self.config.max_queue),
             weight_of=tenancy.weight_of,
             max_queued_of=tenancy.max_queued_of)
+        #: answers per route by ``served_by``; per route, the trust
+        #: verdict of each prediction (predict) or the stages predicted
+        #: and how many were suspect (whatif, search).  The batcher
+        #: counts the predict route where it builds those answers.
+        self.served = {"predict": self.batcher.served,
+                       "whatif": Counters(), "search": Counters()}
+        self.verdicts = {"predict": self.batcher.verdicts,
+                         "whatif": Counters(), "search": Counters()}
         self.searches = Memo("serving.search",
                              "(model hash, mesh, schedule, candidates, "
                              "n_micro, generation)",
@@ -643,6 +631,20 @@ class ReproServer(ConnectionCore):
                 breaker.record(suspect == 0,
                                f"{suspect} suspect verdict(s)"
                                if suspect else "")
+        self._tally("whatif", served_by, [result])
+        return ok_response(req, result, degraded=served_by != "model",
+                           served_by=served_by)
+
+    def _tally(self, route: str, served_by: str, plans: list[dict]) -> None:
+        """Count one whatif/search answer: who served it, and how many
+        of its plans' stage predictions were suspect."""
+        self.served[route].inc(served_by)
+        self.verdicts[route].inc("stages", sum(p["n_stages"] for p in plans))
+        self.verdicts[route].inc("suspect", sum(p["suspect"] for p in plans))
+
+    def _search_answer(self, req: Request, result: dict,
+                       served_by: str) -> dict:
+        self._tally("search", served_by, result["candidates"])
         return ok_response(req, result, degraded=served_by != "model",
                            served_by=served_by)
 
@@ -659,9 +661,8 @@ class ReproServer(ConnectionCore):
         cached = self.searches.lookup(key)
         if cached is not None:
             self.counters.inc("search_cache_hits")
-            return ok_response(req, dict(cached["result"], cached=True),
-                               degraded=cached["degraded"],
-                               served_by=cached["served_by"])
+            return self._search_answer(req, dict(cached, cached=True),
+                                       "model")
         breaker = self.breakers["search"]
         use_model = breaker.allow_model()
 
@@ -669,11 +670,11 @@ class ReproServer(ConnectionCore):
             evals = [self.runtime.evaluate_candidate(
                 (k, n_micro, schedule, False)) for k in candidates]
             best = min(evals, key=lambda d: d["iteration_latency_s"])
-            return ok_response(req, {
+            return self._search_answer(req, {
                 "best": best, "candidates": evals, "schedule": schedule,
                 "n_microbatches": n_micro, "partial": partial,
                 "failed_candidates": 0, "note": note,
-            }, degraded=True, served_by="analytical")
+            }, "analytical")
 
         if not use_model:
             return _analytical_plan(False, "circuit breaker open")
@@ -690,8 +691,9 @@ class ReproServer(ConnectionCore):
         per_cell = max(0.2, remaining * 0.8 / len(specs))
         with self._search_lock:
             if self._search_generation != self.runtime.generation:
-                # workers keep the ensemble they forked with; a fresh
-                # callable restarts the pool on the reloaded model
+                # workers keep the ensemble (and the prediction memo)
+                # they forked with; a fresh callable restarts the pool
+                # on the swapped-in model
                 self._search_task = self.runtime.evaluate_candidate
                 self._search_generation = self.runtime.generation
             outcome = supervised_map(
@@ -720,14 +722,12 @@ class ReproServer(ConnectionCore):
             "n_microbatches": n_micro, "partial": failed > 0,
             "failed_candidates": failed,
         }
-        served_by = "model" if not degraded else "analytical"
         if failed == 0 and not degraded:
             # only complete, undegraded answers are worth replaying; a
-            # reload bumps the runtime generation and thus the key
-            self.searches.put(key, {"result": result, "degraded": degraded,
-                                    "served_by": served_by})
-        return ok_response(req, result, degraded=degraded,
-                           served_by=served_by)
+            # model swap bumps the runtime generation and thus the key
+            self.searches.put(key, result)
+        return self._search_answer(req, result,
+                                   "analytical" if degraded else "model")
 
     # ---------------------------------------------------------------- health
     def _queue_depths(self) -> dict[str, dict[str, int]]:
@@ -760,9 +760,15 @@ class ReproServer(ConnectionCore):
             "breakers": {route: b.snapshot()
                          for route, b in self.breakers.items()},
             "counters": self.counters.snapshot(),
+            "served": {route: c.snapshot()
+                       for route, c in self.served.items()},
+            "verdicts": {route: c.snapshot()
+                         for route, c in self.verdicts.items()},
             "caches": {**snapshot(),
                        **{m.name: m.describe() for m in (
-                           self.searches, self.runtime.profiler.graphs)}},
+                           self.searches, self.runtime.profiler.graphs,
+                           self.runtime.predictions,
+                           self.runtime.estimates)}},
             "gc": gc_snapshot(),
             "runtime": self.runtime.describe(),
         }

@@ -118,15 +118,22 @@ class TestClientGrownTiers:
     def test_distinct_microbatches_stop_at_the_bound(self, serving_runtime,
                                                      monkeypatch):
         """A client choosing a new ``microbatch`` per request grows the
-        encoding memo and the profiler's graph memo by one entry each;
-        both stop at their bound (lowered here to keep the test short)."""
+        encoding memo, the profiler's graph memo and the runtime's
+        prediction and estimate memos by one entry each; all four stop
+        at their bound (lowered here to keep the test short)."""
         bound = 4
         encodings = Memo("predictors.encodings", "canonical graph hash",
                          bound=bound)
         graphs = Memo("runtime.stage_graphs", "(pred|train, start, end, mb)",
                       bound=bound)
+        predictions = Memo("serving.predictions", "canonical graph hash",
+                           bound=bound)
+        estimates = Memo("serving.estimates", "canonical graph hash",
+                         bound=bound)
         monkeypatch.setattr(encoding_cache, "ENCODINGS", encodings)
         monkeypatch.setattr(serving_runtime.profiler, "graphs", graphs)
+        monkeypatch.setattr(serving_runtime, "predictions", predictions)
+        monkeypatch.setattr(serving_runtime, "estimates", estimates)
         assert serving_runtime.ensemble is not None
         requests = 3 * bound
         for mb in range(1, requests + 1):
@@ -134,7 +141,7 @@ class TestClientGrownTiers:
                 {"slice": [0, 1], "microbatch": mb}, many=False)
             results, _, served_by = serving_runtime.predict_batch(batch, True)
             assert served_by == "model" and len(results) == 1
-        for memo in (encodings, graphs):
+        for memo in (encodings, graphs, predictions, estimates):
             assert len(memo) == bound
             assert memo.stats.evictions == requests - bound
 

@@ -16,6 +16,12 @@ from repro.serving.protocol import Request
 from repro.serving.tenancy import FairQueue
 
 
+def answer(graph) -> dict:
+    """The stub's prediction for ``graph`` (a verdict, like every real
+    prediction, which the batcher counts)."""
+    return {"graph": graph, "verdict": "trusted"}
+
+
 class GatedRuntime:
     """Records each batch's graphs; every call waits for ``gate``."""
 
@@ -28,7 +34,7 @@ class GatedRuntime:
         self.calls.append(list(graphs))
         self.entered.set()
         assert self.gate.wait(30.0), "test never opened the gate"
-        return [{"graph": g} for g in graphs], 0, "model"
+        return [answer(g) for g in graphs], 0, "model"
 
 
 class SpyQueue(FairQueue):
@@ -96,12 +102,11 @@ class TestCoalescing:
 
         assert runtime.calls == [["a"], ["b", "c1", "c2", "c3", "d"]]
         assert (batcher.batches, batcher.coalesced) == (2, 4)
-        assert first.response["result"] == {"graph": "a"}
-        assert b.response["result"] == {"graph": "b"}
+        assert first.response["result"] == answer("a")
+        assert b.response["result"] == answer("b")
         assert many.response["result"] == {
-            "predictions": [{"graph": "c1"}, {"graph": "c2"},
-                            {"graph": "c3"}]}
-        assert d.response["result"] == {"graph": "d"}
+            "predictions": [answer("c1"), answer("c2"), answer("c3")]}
+        assert d.response["result"] == answer("d")
         for p in (first, b, many, d):
             assert p.response["ok"] and not p.response["degraded"]
 
@@ -114,7 +119,7 @@ class TestCoalescing:
 
         assert runtime.calls == [["x"], ["p0", "p1", "p2"], ["p3", "p4"]]
         for i, p in enumerate(later):
-            assert p.response["result"] == {"graph": f"p{i}"}
+            assert p.response["result"] == answer(f"p{i}")
 
     def test_collect_never_waits_for_stragglers(self, runtime, make_batcher,
                                                 monkeypatch):

@@ -8,6 +8,7 @@ import json
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -99,6 +100,49 @@ class TestRouting:
         assert (after["generations"][2]["collections"]
                 > before["generations"][2]["collections"])
         assert after["paused"] == 0
+
+    def test_health_counts_answers_by_route_and_verdict(self, client):
+        """``health.served``: answers per route by ``served_by``;
+        ``health.verdicts``: each prediction's trust verdict on the
+        predict route, stages and suspect stages on whatif and search."""
+        def health():
+            r = client.rpc({"op": "health", "id": "v"})["result"]
+            return r["served"], r["verdicts"]
+
+        def delta(before, after):  # the counters only grow
+            return Counter(after) - Counter(before)
+
+        served0, verdicts0 = health()
+        answers = {
+            "predict": [
+                client.rpc({"op": "predict_many", "id": "v1",
+                            "params": {"slices": [[0, 1], [1, 3]]}}),
+                client.rpc({"op": "predict", "id": "v2",
+                            "params": {"slice": [0, 2]}})],
+            "whatif": [client.rpc({"op": "whatif", "id": "v3",
+                                   "params": {"n_stages": 2}})],
+            "search": [client.rpc({"op": "search", "id": "v4",
+                                   "deadline_ms": 120_000,
+                                   "params": {"stage_counts": [1, 2],
+                                              "n_microbatches": 11}})],
+        }
+        served1, verdicts1 = health()
+        assert set(served1) == set(verdicts1) == set(answers)
+        for route, resps in answers.items():
+            assert all(r["ok"] for r in resps), resps
+            assert delta(served0[route], served1[route]) == Counter(
+                r["served_by"] for r in resps)
+        preds = [p for r in answers["predict"]
+                 for p in r["result"].get("predictions", [r["result"]])]
+        assert delta(verdicts0["predict"], verdicts1["predict"]) == Counter(
+            p["verdict"] for p in preds)
+        plans = {"whatif": [answers["whatif"][0]["result"]],
+                 "search": answers["search"][0]["result"]["candidates"]}
+        for route, stages in (("whatif", 2), ("search", 3)):
+            suspect = sum(p["suspect"] for p in plans[route])
+            assert sum(p["n_stages"] for p in plans[route]) == stages
+            assert delta(verdicts0[route], verdicts1[route]) == Counter(
+                stages=stages, suspect=suspect)
 
     def test_predict(self, client):
         resp = client.rpc({"op": "predict", "id": 1,
