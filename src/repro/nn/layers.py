@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import fastpath
 from .functional import softmax
+from .fused import attention_core, layer_norm, linear
 from .tensor import Array, Tensor
 
 _NEG = np.float32(-1e9)
@@ -116,6 +118,8 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out, np.float32), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        if fastpath._FAST:
+            return linear(x, self.w, self.b)
         y = x @ self.w
         if self.b is not None:
             y = y + self.b
@@ -131,6 +135,8 @@ class LayerNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
+        if fastpath._FAST:
+            return layer_norm(x, self.scale, self.bias, self.eps)
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -171,20 +177,23 @@ class MaskedMultiHeadAttention(Module):
         self.wo = Linear(dim, dim, rng)
 
     def forward(self, x: Tensor, attn_mask: Array) -> Tensor:
-        B, N, D = x.shape
-        h, hd = self.n_heads, self.head_dim
-
-        def heads(t: Tensor) -> Tensor:
-            return t.reshape(B, N, h, hd).transpose(0, 2, 1, 3)
-
-        q, k, v = heads(self.wq(x)), heads(self.wk(x)), heads(self.wv(x))
-        scores = (q @ k.swapaxes(-1, -2)) * np.float32(1.0 / np.sqrt(hd))
         if attn_mask.dtype == np.bool_:
             add_mask = np.where(attn_mask[:, None, :, :], np.float32(0.0), _NEG)
         else:
             # precomputed additive bias, already (B, 1, N, N) float32 —
             # bit-identical to the np.where above by construction
             add_mask = attn_mask
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
+        if fastpath._FAST:
+            return self.wo(attention_core(q, k, v, add_mask, self.n_heads))
+        B, N, D = x.shape
+        h, hd = self.n_heads, self.head_dim
+
+        def heads(t: Tensor) -> Tensor:
+            return t.reshape(B, N, h, hd).transpose(0, 2, 1, 3)
+
+        q, k, v = heads(q), heads(k), heads(v)
+        scores = (q @ k.swapaxes(-1, -2)) * np.float32(1.0 / np.sqrt(hd))
         attn = softmax(scores, axis=-1, mask=add_mask)
         ctx = attn @ v
         ctx = ctx.transpose(0, 2, 1, 3).reshape(B, N, D)

@@ -11,59 +11,103 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fastpath
 from .tensor import Tensor
 
 
 class Adam:
-    """Adam (Kingma & Ba) over a fixed parameter list."""
+    """Adam (Kingma & Ba) over a fixed parameter list.
+
+    The moments live in one flat buffer each; ``m[i]`` and ``v[i]`` are
+    views of parameter ``i``'s segment, so the checkpoint format is the
+    per-parameter one.  With the fast strategy on (:mod:`repro.nn.fastpath`)
+    and every parameter holding a gradient, a step copies the gradients
+    into a flat buffer, runs the update once over the flat buffers and
+    subtracts each parameter's segment from its weights in place.  The
+    update is elementwise, so the flat step is bit-identical to the
+    per-parameter loop, which runs in every other case: a parameter
+    without a gradient is left untouched, its moments not decayed.  The
+    weights stay the parameters' own arrays, so weights loaded after the
+    optimizer was built (a resume) are the ones trained.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8) -> None:
-        self.params = list(params)
+        # dedupe by identity: a tied parameter is stepped once
+        self.params = list({id(p): p for p in params}.values())
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        # two reusable scratch buffers per dtype (sized for the largest
-        # parameter): the update needs the numerator lr·(m/bias1) and the
-        # denominator sqrt(v/bias2)+eps alive at the same time, and fusing
-        # them differently would reassociate the float ops and change the
-        # trained weights bit-for-bit
-        sizes: dict[np.dtype, int] = {}
-        for p in self.params:
-            dt = p.data.dtype
-            sizes[dt] = max(sizes.get(dt, 0), p.data.size)
-        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt))
-                         for dt, n in sizes.items()}
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise TypeError(f"Adam needs parameters of one dtype, got "
+                            f"{sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
+        n = sum(p.data.size for p in self.params)
+        self._flat_m, self._flat_v = np.zeros(n, dtype), np.zeros(n, dtype)
+        self._flat_g = np.empty(n, dtype)
+        self._flat_t = (np.empty(n, dtype), np.empty(n, dtype))
+
+        def views(buf: np.ndarray) -> list[np.ndarray]:
+            out, a = [], 0
+            for p in self.params:
+                out.append(buf[a:a + p.data.size].reshape(p.data.shape))
+                a += p.data.size
+            return out
+
+        self.m, self.v = views(self._flat_m), views(self._flat_v)
+        self._g_views = views(self._flat_g)
+        self._t_views = views(self._flat_t[0])
+        # the per-parameter loop's two scratch buffers (sized for the
+        # largest parameter): the update needs the numerator lr·(m/bias1)
+        # and the denominator sqrt(v/bias2)+eps alive at the same time,
+        # and fusing them differently would reassociate the float ops and
+        # change the trained weights bit-for-bit
+        size = max((p.data.size for p in self.params), default=0)
+        self._scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype))}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
+        bias1 = 1.0 - self.beta1 ** self.t
+        bias2 = 1.0 - self.beta2 ** self.t
+        if fastpath._FAST and all(p.grad is not None for p in self.params):
+            for p, g in zip(self.params, self._g_views):
+                g[...] = p.grad
+            self._update(self._flat_g, self._flat_m, self._flat_v,
+                         *self._flat_t, bias1, bias2)
+            for p, t in zip(self.params, self._t_views):
+                p.data -= t
+            return
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
             s1, s2 = self._scratch[p.data.dtype]
             t1 = s1[:g.size].reshape(g.shape)
-            t2 = s2[:g.size].reshape(g.shape)
-            m *= b1
-            np.multiply(g, 1 - b1, out=t1)
-            m += t1
-            v *= b2
-            np.multiply(g, 1 - b2, out=t1)
-            t1 *= g
-            v += t1
-            np.divide(m, bias1, out=t1)
-            t1 *= self.lr
-            np.divide(v, bias2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += self.eps
-            t1 /= t2
+            self._update(g, m, v, t1, s2[:g.size].reshape(g.shape),
+                         bias1, bias2)
             p.data -= t1
+
+    def _update(self, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                t1: np.ndarray, t2: np.ndarray, bias1: float,
+                bias2: float) -> None:
+        """Advance the moments in place and leave the step in ``t1``
+        (``t2`` is scratch)."""
+        b1, b2 = self.beta1, self.beta2
+        m *= b1
+        np.multiply(g, 1 - b1, out=t1)
+        m += t1
+        v *= b2
+        np.multiply(g, 1 - b2, out=t1)
+        t1 *= g
+        v += t1
+        np.divide(m, bias1, out=t1)
+        t1 *= self.lr
+        np.divide(v, bias2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += self.eps
+        t1 /= t2
 
     def zero_grad(self) -> None:
         for p in self.params:

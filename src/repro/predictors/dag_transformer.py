@@ -122,7 +122,6 @@ class DAGTransformerModel(Module):
                 batch.node_mask.shape[1], dtype=bool)[None]
         for layer in self.layers:
             x = layer(x, reach)
-        x = x * Tensor(batch.node_mask[..., None])  # zero out padding
         g = global_add_pool(x, batch.node_mask) * self.pool_scale
         h = self.head1(g).relu()
         h = self.head2(h).relu()

@@ -71,6 +71,6 @@ class GATModel(Module):
         x = Tensor(batch.features).reshape(B * N, F)
         for conv in self.convs:
             x = conv(x, rows, cols, B * N).relu()
-        x = x.reshape(B, N, -1) * Tensor(batch.node_mask[..., None])
+        x = x.reshape(B, N, -1)
         g = global_add_pool(x, batch.node_mask) * self.pool_scale
         return self.out(self.head(g).relu()).reshape(-1)

@@ -33,6 +33,6 @@ class GCNModel(Module):
         x = Tensor(batch.features).reshape(B * N, F)
         for lin in self.lins:
             x = spmm(batch.adj_sparse, lin(x)).relu()
-        x = x.reshape(B, N, -1) * Tensor(batch.node_mask[..., None])
+        x = x.reshape(B, N, -1)
         g = global_add_pool(x, batch.node_mask) * self.pool_scale
         return self.out(self.head(g).relu()).reshape(-1)

@@ -1,25 +1,36 @@
 """Differential suite: the accelerated predictor path is bit-identical.
 
 Every optimization this layer stacks — the fast autograd engine
-(gradient-buffer stealing, acyclic tape), precomputed attention masks,
-the shared encoding cache, batched ensemble inference, and the parallel
-ensemble fan-out — claims *bit-identity* with the seed configuration,
-not tolerance-level agreement.  These tests pin that claim with ``==``
-comparisons on losses, weights, and predictions.
+(gradient-buffer stealing, acyclic tape), the fused Linear, LayerNorm
+and attention-core tape nodes, the flat Adam step, precomputed attention
+masks, the shared encoding cache, batched ensemble inference, and the
+parallel ensemble fan-out — claims *bit-identity* with the seed
+configuration, not tolerance-level agreement.  These tests pin that
+claim with ``==`` comparisons on losses, weights, and predictions.
 """
 
 from __future__ import annotations
 
+import collections
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.nn import fastpath
+import repro.predictors.trainer as trainer_mod
+from repro.nn import Adam, Linear, Module, Tensor, fastpath, mae
+from repro.nn.tensor import no_grad
 from repro.predictors import (
+    DAGTransformerLayer,
     EnsemblePredictor,
     LatencyPredictor,
+    Normalizer,
     StageSample,
     TrainConfig,
+    build_model,
     global_encoding_cache,
+    make_batches,
+    train_model,
 )
 
 CFG = TrainConfig(epochs=5, patience=5, batch_size=4, lr=2e-3, seed=0)
@@ -111,6 +122,150 @@ class TestEngineDifferential:
         assert res_r.train_loss == ref_r.train_loss
         assert res_r.val_loss == ref_r.val_loss
         _assert_state_equal(res_p.model.state_dict(), ref_p.model.state_dict())
+
+
+def _both_modes(run):
+    """``run()`` under the fast strategy, then under the reference one."""
+    fast = run()
+    prev = fastpath.set_fast(False)
+    try:
+        ref = run()
+    finally:
+        fastpath.set_fast(prev)
+    return fast, ref
+
+
+def _strip_bias(batches):
+    """Drop the precomputed additive masks: attention takes the bool path."""
+    for b in batches:
+        b.attn_bias = None
+    return batches
+
+
+#: case -> (kind, model overrides, config, post-LN layers, bool masks);
+#: the plain DAG Transformer fit is TestEngineDifferential's
+MATRIX = {
+    "no_dagra": ("dag_transformer", {"use_dagra": False}, CFG, False, False),
+    "no_dagpe": ("dag_transformer", {"use_dagpe": False}, CFG, False, False),
+    "post_ln": ("dag_transformer", {}, CFG, True, False),
+    "gcn": ("gcn", {}, CFG, False, False),
+    "gat": ("gat", {}, CFG, False, False),
+    "several_batches": ("dag_transformer", {}, replace(CFG, batch_size=2),
+                        False, False),
+    "bool_mask": ("dag_transformer", {}, CFG, False, True),
+}
+
+
+class TestFusedNodeMatrix:
+    """The fused nodes and the flat Adam step against the composed ops
+    and the per-parameter loop (``fastpath.set_fast(False)``)."""
+
+    @pytest.mark.parametrize("case", sorted(MATRIX))
+    def test_fit_bit_identical(self, tiny_corpus, monkeypatch, case):
+        kind, overrides, cfg, post_ln, bool_mask = MATRIX[case]
+        if bool_mask:
+            real = trainer_mod.make_batches
+            monkeypatch.setattr(trainer_mod, "make_batches",
+                                lambda *a, **k: _strip_bias(real(*a, **k)))
+
+        def run():
+            samples = _fresh(tiny_corpus)
+            train, val = samples[3:], samples[:3]
+            norm = Normalizer.fit(train)
+            model = build_model(kind, seed=0, **overrides)
+            if post_ln:
+                for layer in model.layers:
+                    layer.norm_first = False
+            result = train_model(model, train, val, norm, cfg)
+            batches = make_batches(samples, norm, 4)
+            if bool_mask:
+                _strip_bias(batches)
+            with no_grad():
+                preds = np.concatenate([model(b).data for b in batches])
+            return result, model.state_dict(), preds
+
+        (fast_r, fast_w, fast_p), (ref_r, ref_w, ref_p) = _both_modes(run)
+        assert fast_r.train_loss == ref_r.train_loss
+        assert fast_r.val_loss == ref_r.val_loss
+        assert fast_r.best_epoch == ref_r.best_epoch
+        _assert_state_equal(fast_w, ref_w)
+        assert np.array_equal(fast_p, ref_p)
+
+    def test_tied_parameter_stepped_once(self):
+        """A weight shared by two Linears, registered twice with Adam,
+        trains identically in both modes and moves at most ``lr`` per
+        coordinate on the first step (stepped once, not twice)."""
+
+        class Tied(Module):
+            def __init__(self):
+                rng = np.random.default_rng(0)
+                self.encoder = Linear(4, 4, rng)
+                self.decoder = Linear(4, 4, rng)
+                self.decoder.w = self.encoder.w
+
+            def forward(self, x):
+                return self.decoder(self.encoder(x).relu())
+
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 5, 4)))
+        target = np.zeros((3, 5), np.float32)
+
+        def run():
+            m = Tied()
+            w0 = m.encoder.w.data.copy()
+            opt = Adam(m.parameters() + [m.decoder.w], lr=0.1)
+            losses, moved = [], None
+            for _ in range(4):
+                loss = mae(m(x).sum(axis=-1), target)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                losses.append(float(loss.data))
+                if moved is None:
+                    moved = np.abs(m.encoder.w.data - w0).max()
+            return losses, m.state_dict(), moved
+
+        (fast_l, fast_w, fast_moved), (ref_l, ref_w, ref_moved) = \
+            _both_modes(run)
+        assert fast_l == ref_l
+        _assert_state_equal(fast_w, ref_w)
+        assert 0 < fast_moved <= 0.1 + 1e-6
+        assert ref_moved == fast_moved
+
+
+def _tape_ops(out: Tensor) -> collections.Counter:
+    """Recorded tape nodes behind ``out``, counted by the op that made
+    them (the fast strategy stores each op's own backward closure)."""
+    ops: collections.Counter = collections.Counter()
+    seen: set[int] = set()
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        ops[node._backward.__qualname__.split(".<locals>")[0]] += 1
+        stack.extend(node._prev)
+    return ops
+
+
+class TestTapeSize:
+    """One DAG Transformer layer records its fused nodes, not the
+    composed ops; a silent fall-back to the composed path fails here."""
+
+    def _layer_forward(self):
+        rng = np.random.default_rng(0)
+        layer = DAGTransformerLayer(16, 4, rng)
+        x = Tensor(rng.normal(size=(2, 7, 16)), requires_grad=True)
+        reach = np.tril(rng.random((2, 7, 7)) < 0.5) | np.eye(7, dtype=bool)
+        return layer(x, reach)
+
+    def test_fast_layer_records_twelve_nodes(self):
+        assert _tape_ops(self._layer_forward()) == {
+            "linear": 6, "layer_norm": 2, "attention_core": 1,
+            "Tensor.__add__": 2, "Tensor.relu": 1}
+
+    def test_reference_layer_records_the_composed_ops(self, reference_mode):
+        assert sum(_tape_ops(self._layer_forward()).values()) == 55
 
 
 class TestEnsembleDifferential:

@@ -1,11 +1,13 @@
 """Adam's in-place/scratch-buffer update is bit-identical to the textbook
-out-of-place formulation, across dtypes, shapes, and steps."""
+out-of-place formulation, across dtypes, shapes, and steps, and its flat
+fast-path step is bit-identical to the per-parameter loop."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.nn import fastpath
 from repro.nn.optim import Adam, CosineDecay
 from repro.nn.tensor import Tensor
 
@@ -85,6 +87,50 @@ def test_step_does_not_grow_scratch():
         opt.step()
     after = [b for pair in opt._scratch.values() for b in pair]
     assert all(a is b for a, b in zip(bufs, after))  # reused, not realloc'd
+
+
+@pytest.mark.parametrize("scenario", ["all_grads", "missing_grad",
+                                      "weights_replaced"])
+def test_flat_step_equals_per_parameter_loop(scenario):
+    """The flat step (fast strategy) against the per-parameter loop
+    (reference strategy): a parameter without a gradient keeps its
+    weights and undecayed moments, and weights replaced after the
+    optimizer was built (a resume's ``load_state_dict``) are the ones
+    trained."""
+
+    def run(fast):
+        prev = fastpath.set_fast(fast)
+        try:
+            rng = np.random.default_rng(3)
+            shapes = [(4, 8), (8,), (3, 5, 2), (1,), (17,)]
+            params = [Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in shapes]
+            opt = Adam(params, lr=1e-2)
+            for step in range(5):
+                if scenario == "weights_replaced" and step in (0, 3):
+                    for p in params:
+                        p.data = rng.normal(size=p.shape).astype(np.float32)
+                for i, p in enumerate(params):
+                    p.grad = rng.normal(size=p.shape).astype(np.float32)
+                    if scenario == "missing_grad" and i == 1 and step % 2:
+                        p.grad = None
+                opt.step()
+            return ([p.data.copy() for p in params],
+                    [m.copy() for m in opt.m], [v.copy() for v in opt.v])
+        finally:
+            fastpath.set_fast(prev)
+
+    for fast, ref in zip(run(True), run(False)):
+        for a, b in zip(fast, ref):
+            assert np.array_equal(a, b)
+
+
+def test_rejects_mixed_dtypes():
+    p = Tensor(np.zeros(2, np.float32), requires_grad=True)
+    q = Tensor(np.zeros(2, np.float32), requires_grad=True)
+    q.data = np.zeros(2, np.float64)
+    with pytest.raises(TypeError):
+        Adam([p, q])
 
 
 def test_cosine_decay_still_drives_lr():
