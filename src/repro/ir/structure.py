@@ -15,12 +15,12 @@ assigned bottom-up over the topological order,
     sig(n) = intern( local_key(n),
                      ((sig(p), fanout(p)) for p in n.inputs) )
 
-where ``local_key`` is the same structural key the vectorized DP uses to
+where ``local_key`` is the same structural key the intra-op DP uses to
 share strategy tables (``("op", node_cost_key)`` for operators, the
 tensor shape for leaves) and ``fanout(p)`` is the producer's consumer
 count (the DP amortizes producer cost as ``cost / fanout``, so fan-out
 is part of the subproblem).  Equal signatures therefore imply equal
-strategy tables, equal reshard-cost matrices, equal amortization shares
+strategy tables, equal reshard-cost columns, equal amortization shares
 and equal producer cost vectors — by induction, equal forward DP
 vectors.  ``parallel.intra_op`` keys its collapse memo on these ids;
 ``tests/test_dp_collapse.py`` differential-tests the claim bitwise.
@@ -40,7 +40,7 @@ Structures this provably collapses on the existing families:
 
 from __future__ import annotations
 
-from ..memo import tier
+from ..memo import fork_safe_lock, tier
 from .graph import Graph
 
 #: process-wide signature intern: structural key -> stable small int.
@@ -49,6 +49,10 @@ from .graph import Graph
 #: ``repro.memo.clear_all`` clears it, together with them.
 _SIG_IDS = tier("ir.signatures",
                 "(local structure, producer signatures and fan-outs)").entries
+#: serializes new ids: two threads interning different keys must not
+#: both read the same ``len`` (they would share one id, and one collapse
+#: memo entry)
+_SIG_LOCK = fork_safe_lock()
 
 
 _OUT_KEY = ("out",)
@@ -86,7 +90,7 @@ def context_signatures(graph: Graph) -> list[int]:
                tuple((sigs[p], len(consumers(p))) for p in node.inputs))
         sid = intern.get(key)
         if sid is None:
-            sid = len(intern)
-            intern[key] = sid
+            with _SIG_LOCK:
+                sid = intern.setdefault(key, len(intern))
         sigs[node.id] = sid
     return sigs

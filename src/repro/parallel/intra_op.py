@@ -24,20 +24,26 @@ the pipeline already in the sharding the first consumer wants.
 
 Two implementations coexist:
 
-* :func:`optimize_stage` — the one the program runs.  Shardings are
-  interned integer ids, kernel times come from the memoized
-  ``op_time_cached``, reshard costs from per-mesh
-  :class:`~.resharding.ReshardCache` tables, and both DP passes run as
-  numpy min-plus algebra (``np.min(share * ptable[:, None] + R, axis=0)``
-  forward, vectorized argmin in reverse).  Nodes are indexed by their
-  context signature (``ir.structure``), and the forward vector of a
-  signature already solved on a mesh is reused instead of recomputed —
-  the CFP collapse of structurally identical subproblems, across twin
-  branches of one graph and shared prefixes of different graphs.
+* :func:`optimize_stage` — the one the program runs: one forward loop
+  and one reverse loop over the nodes, on tuples of Python floats.
+  Shardings are interned integer ids, kernel times come from the
+  memoized ``op_time_cached``, reshard costs from per-mesh
+  :class:`~.resharding.ReshardCache` columns.  The forward loop builds
+  or looks up each node's table (by context signature, ``ir.structure``)
+  and then either reuses the forward vector memoized for that signature
+  on this mesh — the CFP collapse of structurally identical subproblems,
+  across twin branches of one graph and shared prefixes of different
+  graphs — or contracts the node's non-leaf edges on the spot.  The
+  reverse loop is push-based: each committed node hands its required
+  input spec ids to its producers, which add the matching reshard
+  columns before committing.  Scalars beat numpy here because the
+  tables are tiny — 1 to 8 strategies per node, most with 1 or 2, and
+  most edge contractions 2x2 or 1x1 — so a numpy call's dispatch costs
+  more than its arithmetic.
 * :func:`optimize_stage_reference` — the original pure-Python dict-scan
-  formulation, kept as the differential-testing oracle.  The vectorized
-  path must produce **bit-identical** committed shardings, table costs,
-  and DP estimates (every float op is replayed in the same order; min and
+  formulation, kept as the differential-testing oracle.  The fast path
+  must produce **bit-identical** committed shardings, table costs, and
+  DP estimates (every float op is replayed in the same order; min and
   argmin are exact), which ``tests/test_intraop_vectorized.py`` and
   ``tests/test_dp_collapse.py`` enforce.
 """
@@ -45,8 +51,7 @@ Two implementations coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from operator import add
 
 from ..cluster.mesh import LogicalMesh
 from ..ir.graph import Graph, TensorSpec
@@ -90,64 +95,53 @@ class IntraOpPlan:
 
 
 class _NodeTable:
-    """Pre-vectorized per-(node-structure, mesh) DP table.
+    """Per-(node-structure, mesh) DP table, built once as tuples of Python
+    floats and ints.
 
-    Everything the forward sweep needs that does not depend on the
-    surrounding graph is computed once and shared by every structurally
-    identical node on the same mesh: the strategy tuple, the base cost
-    vector (kernel time under each strategy's work division plus its own
-    collectives), per-slot required-spec column structure, and the
-    grouping of strategies by output sharding.
+    Everything the two passes need that does not depend on the
+    surrounding graph is shared by every structurally identical node on
+    the same mesh: the committed assignments, the base costs (kernel time
+    under each strategy's work division plus its own collectives), each
+    strategy's input spec ids (what the reverse pass pushes to
+    producers), per-slot required-column maps (what the forward pass
+    contracts), and the grouping of strategies by output sharding.  A
+    table holds 1 to 8 strategies, so plain tuples read faster than
+    arrays: indexing and ``min`` over a handful of floats cost less than
+    one numpy call's dispatch.
     """
 
-    __slots__ = ("strats", "assigns", "base", "slots", "out_ids", "out_col")
+    __slots__ = ("assigns", "base", "in_ids", "slots", "out_ids",
+                 "strat_out_ids", "groups")
 
-    def __init__(self, strats: tuple[Strategy, ...], base: np.ndarray) -> None:
-        self.strats = strats
+    def __init__(self, strats: tuple[Strategy, ...],
+                 base: tuple[float, ...]) -> None:
         self.assigns = tuple(NodeAssignment(s) for s in strats)
         self.base = base
-        base.flags.writeable = False
-        # per input slot: (distinct required spec ids, strategy -> column
-        # map or None when every strategy requires the same single spec,
-        # present mask or None when every strategy has the slot)
+        self.in_ids = tuple(tuple(spec_id(x) for x in s.ins) for s in strats)
+        # per input slot: (distinct required spec ids, per strategy the
+        # column it reads or -1 when it lacks the slot; None when every
+        # strategy requires the same single spec)
         slots = []
-        max_arity = max((len(s.ins) for s in strats), default=0)
-        for slot in range(max_arity):
+        for slot in range(max(map(len, self.in_ids), default=0)):
             cols: list[int] = []
-            col_index: dict[int, int] = {}
-            req_of = np.empty(len(strats), dtype=np.intp)
-            missing = False
-            for i, s in enumerate(strats):
-                if slot >= len(s.ins):
-                    req_of[i] = -1
-                    missing = True
+            req_of = []
+            for ids in self.in_ids:
+                if slot >= len(ids):
+                    req_of.append(-1)
                     continue
-                rid = spec_id(s.ins[slot])
-                j = col_index.get(rid)
-                if j is None:
-                    j = len(cols)
-                    col_index[rid] = j
-                    cols.append(rid)
-                req_of[i] = j
-            has = req_of >= 0 if missing else None
-            if len(cols) == 1 and not missing:
-                req_of = None  # scalar broadcast instead of a gather
-            slots.append((tuple(cols), req_of, has))
+                if ids[slot] not in cols:
+                    cols.append(ids[slot])
+                req_of.append(cols.index(ids[slot]))
+            slots.append((tuple(cols), None if len(cols) == 1
+                          and -1 not in req_of else tuple(req_of)))
         self.slots = tuple(slots)
-        ids: list[int] = []
-        gidx: dict[int, int] = {}
-        colv = np.empty(len(strats), dtype=np.intp)
-        for i, s in enumerate(strats):
-            sid = spec_id(s.out)
-            j = gidx.get(sid)
-            if j is None:
-                j = len(ids)
-                gidx[sid] = j
-                ids.append(sid)
-            colv[i] = j
-        self.out_ids = tuple(ids)
-        # identity grouping (all outputs distinct) skips the scatter-min
-        self.out_col = None if len(ids) == len(strats) else colv
+        self.strat_out_ids = tuple(spec_id(s.out) for s in strats)
+        #: distinct out-spec ids in first-occurrence order
+        self.out_ids = tuple(dict.fromkeys(self.strat_out_ids))
+        # strategy indices per out spec; None when all outputs differ
+        self.groups = None if len(self.out_ids) == len(strats) else tuple(
+            tuple(i for i, sid in enumerate(self.strat_out_ids) if sid == g)
+            for g in self.out_ids)
 
 
 _FALLBACK_NAME = "fallback[R]"
@@ -157,18 +151,17 @@ class _MeshTables:
     """One logical mesh's DP tables.
 
     * ``tables`` — node structure key -> :class:`_NodeTable`;
-    * ``sig_tables`` — context signature -> :class:`_NodeTable`, the
-      prepare pass's index.  A signature pins ``node_cost_key`` (see
-      ``ir.structure``), so it determines the strategy table; indexing by
-      signature lets a hit node skip the structure-key lookup and slot-op
-      assembly entirely at prepare time, which is where the cold-solve
-      time actually goes;
+    * ``sig_tables`` — context signature -> :class:`_NodeTable`.  A
+      signature pins ``node_cost_key`` (see ``ir.structure``), so it
+      determines the strategy table; indexing by signature lets a node
+      skip the structure-key lookup, which is where a cold solve spends
+      its table time;
     * ``vectors`` — context signature -> (forward costs, grouped-by-out-
-      spec costs), the CFP collapse memo.  A signature pins every input
-      of a node's forward sweep (its strategy table, reshard matrices,
-      amortization shares, and — inductively — its producers' vectors),
-      so memo entries are bit-identical to a fresh computation on any
-      graph.
+      spec costs) tuples, the CFP collapse memo.  A signature pins every
+      input of a node's forward sweep (its strategy table, reshard
+      columns, amortization shares, and — inductively — its producers'
+      vectors), so memo entries are bit-identical to a fresh computation
+      on any graph.
     """
 
     __slots__ = ("tables", "sig_tables", "vectors")
@@ -176,7 +169,8 @@ class _MeshTables:
     def __init__(self) -> None:
         self.tables: dict[tuple, _NodeTable] = {}
         self.sig_tables: dict[int, _NodeTable] = {}
-        self.vectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.vectors: dict[int, tuple[tuple[float, ...],
+                                      tuple[float, ...]]] = {}
 
 
 #: logical mesh -> its DP tables; hits/misses count collapse-vector reads
@@ -216,20 +210,20 @@ def _build_table(node, in_specs: tuple[TensorSpec, ...], ckey: tuple | None,
     if node.node_type in ("input", "literal"):
         strats = tuple(Strategy(f"leaf[{c}]", c, (), 1, 0.0)
                        for c in candidate_specs(node.out, mesh))
-        return _NodeTable(strats, np.zeros(len(strats)))
+        return _NodeTable(strats, (0.0,) * len(strats))
     gpu = mesh.gpu
     strats = tuple(node_strategies(node, in_specs, mesh))
     if not strats:  # always possible: fully replicated execution, and —
         # matching the reference fallback — without input-edge charges
         strats = (Strategy(_FALLBACK_NAME, REPLICATED,
                            tuple(REPLICATED for _ in node.inputs), 1, 0.0),)
-        base = np.array([op_time_cached(node, in_specs, gpu, 1.0, ckey)])
-        table = _NodeTable(strats, base)
+        table = _NodeTable(strats, (op_time_cached(node, in_specs, gpu, 1.0,
+                                                   ckey),))
         table.slots = ()
         return table
-    base = np.array([op_time_cached(node, in_specs, gpu, float(s.factor), ckey)
-                     + s.comm_time for s in strats], dtype=np.float64)
-    return _NodeTable(strats, base)
+    return _NodeTable(strats, tuple(
+        op_time_cached(node, in_specs, gpu, float(s.factor), ckey)
+        + s.comm_time for s in strats))
 
 
 def _output_table(parent_out_ids: tuple[int, ...]) -> _NodeTable:
@@ -239,195 +233,145 @@ def _output_table(parent_out_ids: tuple[int, ...]) -> _NodeTable:
     for sid in parent_out_ids:
         s = spec_by_id(sid)
         strats.append(Strategy(f"out[{s}]", s, (s,), 1, 0.0))
-    return _NodeTable(tuple(strats), np.zeros(len(strats)))
-
-
-class _SolvePlan:
-    """Per-(graph, mesh) prepared DP: every lookup the sweep needs that
-    depends only on the graph structure and the mesh — node tables, the
-    reshard-cost matrix of each non-leaf edge, consumer shares, reverse
-    edge lists — prebound so a solve is pure min-plus algebra.
-
-    Leaf edges (stage inputs, parameters) are dropped at prepare time:
-    leaf tables cost exactly 0.0 under every candidate sharding, so the
-    reference's ``min(share * 0.0 + 0.0) = 0.0`` contribution is the
-    float-addition identity here (no ``-0.0`` can arise from these sums).
-    """
-
-    __slots__ = ("tables", "fwd", "rev")
-
-    def __init__(self, tables: list, fwd: list, rev: list) -> None:
-        #: per node: its _NodeTable
-        self.tables = tables
-        #: per node: (table, ((pid, share, R, req_of, has), ...))
-        self.fwd = fwd
-        #: reversed order: (nid, table, nbytes, ((cid, slot), ...), is_sink)
-        self.rev = rev
-
-
-def _slot_ops_for(graph: Graph, edges: tuple, table: _NodeTable, node_tab,
-                  rcache) -> tuple:
-    """The per-edge forward contractions of one node: (producer id,
-    amortization share, reshard matrix, required-spec mapping), over its
-    non-leaf ``edges`` (``GraphCosts.edges``: leaf edges reshard for
-    free, an exact 0.0 charge).  Shared by ``_prepare`` and the lazy
-    completion in ``optimize_stage`` so the two produce identical
-    tuples."""
-    slot_ops = []
-    slots = table.slots
-    for slot, pid, nbytes in edges:
-        if slot >= len(slots):
-            continue
-        cols, req_of, has = slots[slot]
-        share = 1.0 / max(1, len(graph.consumers(pid)))
-        R = rcache.matrix(node_tab[pid].out_ids, cols, nbytes)
-        slot_ops.append((pid, share, R, req_of, has))
-    return tuple(slot_ops)
-
-
-def _prepare(graph: Graph, mesh: LogicalMesh) -> _SolvePlan:
-    rcache = reshard_cache(mesh)
-    node_tab: list[_NodeTable] = [None] * len(graph)  # type: ignore
-
-    # Tables are indexed by context signature.  Equal signatures imply
-    # equal ``node_cost_key`` (ir.structure), which determines the
-    # strategy table — so a previously seen signature skips the table
-    # lookup and construction AND the slot-op assembly; its forward
-    # vector comes from the memo at solve time (``slot_ops is None``
-    # marks that expectation, with a lazy rebuild in ``optimize_stage``
-    # as the fallback).  Cost keys, input specs and non-leaf edges come
-    # from the graph's GraphCosts, built once per graph for every mesh.
-    fwd: list = []
-    sigs = _graph_sigs(graph)
-    costs = graph_costs(graph)
-    mesh_tables = _mesh_tables(mesh)
-    sig_tables, tables = mesh_tables.sig_tables, mesh_tables.tables
-    for node in graph.nodes:
-        nid = node.id
-        table = sig_tables.get(sigs[nid])
-        if table is not None:
-            node_tab[nid] = table
-            fwd.append((table, None))
-            continue
-        # sig miss: go through the coarser structure-keyed cache so tables
-        # stay shared across contexts (a fresh context over a known
-        # structure must not rebuild the strategy enumeration)
-        if node.node_type == "output":
-            key = ("out", node_tab[node.inputs[0]].out_ids)
-        elif node.node_type == "operator":
-            key = ("op", costs.cost_keys[nid])
-        else:
-            key = ("leaf", node.out.shape)
-        table = tables.get(key)
-        if table is None:
-            table = (_output_table(key[1]) if node.node_type == "output"
-                     else _build_table(node, costs.in_specs[nid],
-                                       costs.cost_keys[nid], mesh))
-            tables[key] = table
-        sig_tables[sigs[nid]] = table
-        node_tab[nid] = table
-        fwd.append((table, _slot_ops_for(graph, costs.edges[nid], table,
-                                         node_tab, rcache)))
-
-    rev = []
-    for node in reversed(graph.nodes):
-        cons = graph.consumers(node.id)
-        leaf = node.node_type in ("input", "literal")
-        edges = () if leaf else tuple(
-            (cid, graph.nodes[cid].inputs.index(node.id)) for cid in cons)
-        rev.append((node.id, node_tab[node.id], node.out.nbytes, edges,
-                    not cons))
-    return _SolvePlan(node_tab, fwd, rev)
+    return _NodeTable(tuple(strats), (0.0,) * len(strats))
 
 
 def optimize_stage(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:
     """Assign an SPMD strategy to every node of ``graph`` on ``mesh``.
 
-    Vectorized formulation: per node, the forward table is a strategy-cost
-    vector; per edge, the cheapest way to obtain each required input
-    sharding is one min-plus contraction of the producer's per-spec cost
-    vector against a memoized reshard-cost matrix
-    (``(share * pcost[:, None] + R).min(axis=0)``).  All float operations
-    replay :func:`optimize_stage_reference` in the same order, so results
-    are bit-identical — ``tests/test_intraop_vectorized.py`` enforces it.
+    One forward loop and one reverse loop over the nodes, on tuples of
+    Python floats.  Forward, each node gets its table (by context
+    signature, else by structure key, else built) and then its forward
+    vector: from the collapse memo, or by contracting its non-leaf edges
+    on the spot — per required input spec, ``min_p(share * g[p] +
+    R[p][c])`` over the producer's by-spec costs ``g`` and a memoized
+    reshard column.  Reverse, each committed node pushes its required
+    input spec ids to its non-leaf producers, and a producer adds its
+    consumers' reshard columns in ascending consumer order before taking
+    the first minimum.  All float operations replay
+    :func:`optimize_stage_reference` in the same order, so results are
+    bit-identical — ``tests/test_intraop_vectorized.py`` enforces it.
 
-    Every parent table carries at least one entry (the enumeration ends in
-    an explicit replicated fallback), so the reference implementation's
-    per-strategy feasibility bookkeeping is vacuous and elided here.
+    Edges out of leaves are skipped (``GraphCosts.edges``): leaf tables
+    cost exactly 0.0 under every candidate sharding, so the reference's
+    ``min(share * 0.0 + 0.0) = 0.0`` charge is the float-addition
+    identity (every cost is >= 0, so no ``-0.0`` can arise).  Every
+    parent table carries at least one entry (the enumeration ends in an
+    explicit replicated fallback), so the reference's per-strategy
+    feasibility bookkeeping is vacuous and elided here.
 
     Through the CFP collapse memo, nodes whose context signature was
     already solved on this mesh — twin branches in this graph, or shared
     prefixes of previously solved graphs — reuse their forward vectors
     instead of recomputing them.  Lossless by construction: a signature
-    pins the strategy table, reshard matrices, amortization shares and
-    producer vectors, so the memoized arrays are the ones this sweep
+    pins the strategy table, reshard columns, amortization shares and
+    producer vectors, so the memoized tuples are the ones this sweep
     would produce bit-for-bit (``tests/test_dp_collapse.py`` enforces it
-    differentially).
+    differentially).  A vector is published only once complete, so
+    concurrent solves can share the memo.
     """
-    plan = _prepare(graph, mesh)
-    rcache = reshard_cache(mesh)
     n = len(graph)
-    cost_tab: list[np.ndarray] = [None] * n  # type: ignore  # (S,) fwd costs
-    #: min forward cost per distinct out spec (the by-spec table)
-    group_cost: list[np.ndarray] = [None] * n  # type: ignore
-
-    memo = _mesh_tables(mesh).vectors
+    nodes = graph.nodes
     sigs = _graph_sigs(graph)
+    costs_of = graph_costs(graph)
+    edges, n_consumers = costs_of.edges, costs_of.n_consumers
+    mesh_tables = _mesh_tables(mesh)
+    sig_tables, tables = mesh_tables.sig_tables, mesh_tables.tables
+    memo = mesh_tables.vectors
+    columns = reshard_cache(mesh).columns
+    node_tab: list[_NodeTable] = [None] * n  # type: ignore
+    cost_tab: list[tuple[float, ...]] = [None] * n  # type: ignore
+    #: min forward cost per distinct out spec (the by-spec table)
+    group_cost: list[tuple[float, ...]] = [None] * n  # type: ignore
     hits = 0
 
-    for nid, (table, slot_ops) in enumerate(plan.fwd):
-        hit = memo.get(sigs[nid])
+    # ---- forward sweep -----------------------------------------------------
+    for nid, sig in enumerate(sigs):
+        table = sig_tables.get(sig)
+        if table is None:
+            node = nodes[nid]
+            # through the coarser structure-keyed cache, so tables stay
+            # shared across contexts (a fresh context over a known
+            # structure must not rebuild the strategy enumeration)
+            if node.node_type == "output":
+                key = ("out", node_tab[node.inputs[0]].out_ids)
+            elif node.node_type == "operator":
+                key = ("op", costs_of.cost_keys[nid])
+            else:
+                key = ("leaf", node.out.shape)
+            table = tables.get(key)
+            if table is None:
+                table = (_output_table(key[1]) if node.node_type == "output"
+                         else _build_table(node, costs_of.in_specs[nid],
+                                           costs_of.cost_keys[nid], mesh))
+                tables[key] = table
+            sig_tables[sig] = table
+        node_tab[nid] = table
+        hit = memo.get(sig)
         if hit is not None:
             cost_tab[nid], group_cost[nid] = hit
             hits += 1
             continue
-        if slot_ops is None:
-            # prepared as a collapse hit but the memo holds no vector for
-            # it: another graph's prepare registered the signature and no
-            # solve has filled it yet (concurrent solves can interleave
-            # this way), so build the node's contractions here
-            slot_ops = _slot_ops_for(graph, graph_costs(graph).edges[nid],
-                                     table, plan.tables, rcache)
         costs = table.base
-        for pid, share, R, req_of, has in slot_ops:
-            best = (share * group_cost[pid][:, None] + R).min(axis=0)
-            if req_of is None:  # single required spec across all strategies
-                costs = costs + best[0]
-            elif has is None:
-                costs = costs + best[req_of]
+        slots = table.slots
+        for slot, pid, nbytes in edges[nid]:
+            if slot >= len(slots):
+                continue
+            cols, req_of = slots[slot]
+            share = 1.0 / n_consumers[pid]  # >= 1: this node reads it
+            src = node_tab[pid].out_ids
+            scaled = [share * g for g in group_cost[pid]]
+            best = [min(map(add, scaled, col))
+                    for col in columns(src, cols, nbytes)]
+            if req_of is None:  # one required spec across all strategies
+                b = best[0]
+                costs = [c + b for c in costs]
             else:
-                costs = costs.copy()
-                costs[has] += best[req_of[has]]
+                costs = [c if j < 0 else c + best[j]
+                         for c, j in zip(costs, req_of)]
+        costs = tuple(costs)
+        grouped = costs if table.groups is None else tuple(
+            min(map(costs.__getitem__, g)) for g in table.groups)
         cost_tab[nid] = costs
-        if table.out_col is None:
-            group_cost[nid] = costs
-        else:
-            gc = np.full(len(table.out_ids), np.inf)
-            np.minimum.at(gc, table.out_col, costs)
-            group_cost[nid] = gc
-        costs.flags.writeable = False
-        group_cost[nid].flags.writeable = False
-        memo[sigs[nid]] = (costs, group_cost[nid])
+        group_cost[nid] = grouped
+        memo[sig] = (costs, grouped)
     _DP_TABLES.record(hits, n - hits)
 
     # ---- reverse resolution ------------------------------------------------
     assignments: list[NodeAssignment | None] = [None] * n
     estimated = 0.0
-    column = rcache.column
-    for nid, table, nb, edges, is_sink in plan.rev:
+    #: per producer: (its bytes, the spec ids its committed consumers
+    #: require in descending consumer order, the order they commit in)
+    required: list[tuple[float, list[int]] | None] = [None] * n
+    for nid in range(n - 1, -1, -1):
+        table = node_tab[nid]
         totals = cost_tab[nid]
-        ocol = table.out_col
-        for cid, slot in edges:
-            strat = assignments[cid].strategy
-            if slot < len(strat.ins):
-                rcol = column(table.out_ids, spec_id(strat.ins[slot]), nb)
-                totals = totals + rcol if ocol is None else totals + rcol[ocol]
-        best_idx = totals.argmin()
-        assignments[nid] = table.assigns[best_idx]
-        if is_sink:  # sink: accumulate DP estimate
-            estimated += float(totals[best_idx])
+        pushed = required[nid]
+        if pushed is not None:
+            nbytes, reqs = pushed
+            for col in reversed(columns(table.strat_out_ids, tuple(reqs),
+                                        nbytes)):
+                totals = list(map(add, totals, col))
+        k = totals.index(min(totals))  # the first minimum, as argmin
+        assignments[nid] = table.assigns[k]
+        if not n_consumers[nid]:  # sink: accumulate DP estimate
+            estimated += totals[k]
+        node_edges = edges[nid]
+        if node_edges:
+            ins = table.in_ids[k]
+            inputs = nodes[nid].inputs
+            for _, pid, nbytes in node_edges:
+                # a producer feeding two slots is charged the first
+                # slot's requirement twice, as ``inputs.index`` does in
+                # the reference
+                slot = inputs.index(pid)
+                if slot < len(ins):
+                    if required[pid] is None:
+                        required[pid] = (nbytes, [ins[slot]])
+                    else:
+                        required[pid][1].append(ins[slot])
 
-    return IntraOpPlan(graph, mesh, list(assignments), estimated)  # type: ignore[arg-type]
+    return IntraOpPlan(graph, mesh, assignments, estimated)  # type: ignore[arg-type]
 
 
 def optimize_stage_reference(graph: Graph, mesh: LogicalMesh) -> IntraOpPlan:

@@ -19,8 +19,6 @@ the SPMD runtime inserts collective ops on that edge.  The cost model:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..cluster.collectives import allgather_time
 from ..cluster.mesh import LogicalMesh
 from ..ir.graph import TensorSpec
@@ -78,20 +76,20 @@ def _reshard_nbytes(
 class ReshardCache:
     """Memoized reshard costs for one logical mesh, addressed by spec ids.
 
-    Scalar lookups memoize per ``(src id, dst id, nbytes)``; the vectorized
-    DP fetches whole min-plus cost *matrices* (rows = producer out-spec
-    ids, columns = consumer required-spec ids), which are themselves
-    cached because structurally identical nodes across a grid request the
-    same (id-tuple, id-tuple, nbytes) table over and over.
+    Scalar lookups memoize per ``(src id, dst id, nbytes)``; the intra-op
+    DP fetches reshard *columns* — the cost from each of a producer's
+    out-spec ids into one required spec, a tuple of floats — one edge's
+    or one producer's worth at a time, cached per (src ids, dst ids,
+    nbytes) because structurally identical nodes across a grid request
+    the same columns over and over.
     """
 
-    __slots__ = ("mesh", "_cells", "_columns", "_matrices")
+    __slots__ = ("mesh", "_cells", "_columns")
 
     def __init__(self, mesh: LogicalMesh) -> None:
         self.mesh = mesh
         self._cells: dict[tuple[int, int, float], float] = {}
-        self._columns: dict[tuple, np.ndarray] = {}
-        self._matrices: dict[tuple, np.ndarray] = {}
+        self._columns: dict[tuple, tuple[tuple[float, ...], ...]] = {}
 
     def time(self, src_id: int, dst_id: int, nbytes: float) -> float:
         key = (src_id, dst_id, nbytes)
@@ -102,30 +100,17 @@ class ReshardCache:
             self._cells[key] = t
         return t
 
-    def column(self, src_ids: tuple[int, ...], dst_id: int,
-               nbytes: float) -> np.ndarray:
-        """``(len(src_ids),)`` vector of reshard costs into ``dst_id``."""
-        key = (src_ids, dst_id, nbytes)
-        col = self._columns.get(key)
-        if col is None:
-            col = np.array([self.time(s, dst_id, nbytes) for s in src_ids],
-                           dtype=np.float64)
-            col.flags.writeable = False
-            self._columns[key] = col
-        return col
-
-    def matrix(self, src_ids: tuple[int, ...], dst_ids: tuple[int, ...],
-               nbytes: float) -> np.ndarray:
-        """``(len(src_ids), len(dst_ids))`` reshard-cost table."""
+    def columns(self, src_ids: tuple[int, ...], dst_ids: tuple[int, ...],
+                nbytes: float) -> tuple[tuple[float, ...], ...]:
+        """Per id of ``dst_ids``, the reshard cost from each of
+        ``src_ids`` into it."""
         key = (src_ids, dst_ids, nbytes)
-        mat = self._matrices.get(key)
-        if mat is None:
-            mat = np.empty((len(src_ids), len(dst_ids)), dtype=np.float64)
-            for j, d in enumerate(dst_ids):
-                mat[:, j] = self.column(src_ids, d, nbytes)
-            mat.flags.writeable = False
-            self._matrices[key] = mat
-        return mat
+        cols = self._columns.get(key)
+        if cols is None:
+            cols = tuple(tuple(self.time(s, d, nbytes) for s in src_ids)
+                         for d in dst_ids)
+            self._columns[key] = cols
+        return cols
 
 
 _RESHARD = tier("parallel.reshard", "logical mesh")

@@ -10,11 +10,11 @@ per-node optimization tractable.
 Specs are *interned*: the factory functions and
 :func:`intern_assignments` return one canonical instance per distinct
 assignments tuple, validated exactly once and carrying a stable integer
-id (:func:`spec_id`).  The vectorized intra-op DP and the cost-table
-caches use those ids as array indices, so the hot loops never rebuild or
-re-validate specs.  Ids are process-local: lookups go through the
-assignments tuple (never a pickled attribute), so specs that cross
-process boundaries re-resolve safely.
+id (:func:`spec_id`).  The intra-op DP and the cost-table caches key
+on those ids, so the hot loops never rebuild or re-validate specs.  Ids
+are process-local: lookups go through the assignments tuple (never a
+pickled attribute), so specs that cross process boundaries re-resolve
+safely.
 """
 
 from __future__ import annotations

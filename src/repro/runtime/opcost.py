@@ -147,9 +147,11 @@ class GraphCosts:
       for the other nodes;
     * ``edges`` — each node's ``(slot, producer id, producer bytes)``
       over producers that are not leaves: edges out of stage inputs and
-      parameters never reshard.
+      parameters never reshard;
+    * ``n_consumers`` — each node's consumer count, one per input slot
+      that reads it (``len(graph.consumers(nid))``).
 
-    The last three are built on first use: a graph whose plan and
+    The last four are built on first use: a graph whose plan and
     execution are both memo hits needs only ``forward_key``.
     """
 
@@ -183,6 +185,14 @@ class GraphCosts:
                   for slot, pid in enumerate(n.inputs)
                   if nodes[pid].node_type not in ("input", "literal"))
             for n in nodes)
+
+    @cached_property
+    def n_consumers(self) -> tuple[int, ...]:
+        counts = [0] * len(self.nodes)
+        for n in self.nodes:
+            for pid in n.inputs:
+                counts[pid] += 1
+        return tuple(counts)
 
 
 _GRAPH_COSTS = tier("runtime.graph_costs", "graph object (weak)",

@@ -1,9 +1,10 @@
-"""Thread-safety stress: the encoding cache and plan cache under the
-serving daemon's concurrency (batcher + executor threads hitting the
-process-wide memos simultaneously)."""
+"""Thread-safety stress: the encoding cache, the plan cache and the
+intra-op DP's memos under the serving daemon's concurrency (batcher +
+executor threads hitting the process-wide memos simultaneously)."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -11,9 +12,13 @@ import pytest
 
 from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.ir import GraphBuilder
-from repro.memo import Memo
+from repro.memo import Memo, clear_all
+from repro.parallel.intra_op import optimize_stage, optimize_stage_reference
 from repro.parallel.plan_cache import cached_optimize_stage
 from repro.predictors.encoding_cache import cached_encoding
+from repro.runtime.profiler import StageProfiler
+
+from .test_intraop_vectorized import assert_identical
 
 N_THREADS = 8
 ROUNDS = 30
@@ -27,15 +32,15 @@ def _mlp(width: int, prefix: str = ""):
     return b.build()
 
 
-def _hammer(fn):
-    """Run ``fn(tid, i)`` from N_THREADS×ROUNDS, re-raising any error."""
+def _hammer(fn, rounds: int = ROUNDS):
+    """Run ``fn(tid, i)`` from N_THREADS×rounds, re-raising any error."""
     errors = []
     barrier = threading.Barrier(N_THREADS)
 
     def worker(tid):
         try:
             barrier.wait()
-            for i in range(ROUNDS):
+            for i in range(rounds):
                 fn(tid, i)
         except Exception as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
@@ -46,6 +51,7 @@ def _hammer(fn):
         t.start()
     for t in threads:
         t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "a worker hung"
     assert not errors, errors
 
 
@@ -140,3 +146,45 @@ class TestPlanCacheThreads:
         _hammer(step)
         assert len(set(plans)) == 1
         assert len(cache) == 1
+
+
+class TestColdSolveThreads:
+    """Cold intra-op solves racing on one mesh's DP memos: a node's
+    forward vector must be published only once complete, so a solve that
+    reads another thread's memo entry sees exactly what it would have
+    computed itself."""
+
+    #: per model, slices sharing start units: their prefixes share
+    #: context signatures, so the threads race on the same memo entries
+    SLICES = ((0, 3), (0, 4), (1, 3), (1, 4))
+    #: cold repetitions; each races all eight solves afresh
+    REPEATS = 10
+
+    @pytest.mark.parametrize("topo", [None, "on"], ids=["flat", "topo"])
+    def test_concurrent_cold_solves_match_the_reference(
+            self, topo, tiny_gpt, tiny_moe, monkeypatch):
+        if topo:
+            monkeypatch.setenv("REPRO_TOPO", topo)
+        else:
+            monkeypatch.delenv("REPRO_TOPO", raising=False)
+        mesh = DeviceMesh(1, 2, RTX_A5500, NVLINK, TEN_GBE).logical(1, 2)
+        graphs = [StageProfiler(model).training_graph(start, end)
+                  for model in (tiny_gpt, tiny_moe)
+                  for start, end in self.SLICES]
+        assert len(graphs) == N_THREADS
+        refs = [optimize_stage_reference(g, mesh) for g in graphs]
+        plans = [None] * N_THREADS
+
+        def step(tid, i):
+            plans[tid] = optimize_stage(graphs[tid], mesh)
+
+        for _ in range(self.REPEATS):
+            clear_all()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                _hammer(step, rounds=1)
+            finally:
+                sys.setswitchinterval(interval)
+            for graph, plan, ref in zip(graphs, plans, refs):
+                assert_identical(graph, mesh, plan, ref)

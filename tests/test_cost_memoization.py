@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster import NVLINK, RTX_A5500, TEN_GBE, DeviceMesh
 from repro.ir import GraphBuilder
 from repro.memo import clear_all
@@ -76,14 +74,15 @@ class TestReshardCache:
         t = g.nodes[-2].out
         cache = reshard_cache(mesh)
         ids = tuple(spec_id(s) for s in candidate_specs(t, mesh))
-        mat = cache.matrix(ids, ids, t.nbytes)
-        assert mat.shape == (len(ids), len(ids))
-        assert not mat.flags.writeable  # shared tables are read-only
-        for i, src in enumerate(ids):
-            col = cache.column(ids, src, t.nbytes)
-            assert np.array_equal(mat[:, i], col)
-            for j, dst in enumerate(ids):
-                assert mat[i, j] == cache.time(src, dst, t.nbytes)
+        cols = cache.columns(ids, ids, t.nbytes)
+        assert cache.columns(ids, ids, t.nbytes) is cols  # memoized
+        # shared tables are immutable tuples
+        assert type(cols) is tuple and len(cols) == len(ids)
+        for j, dst in enumerate(ids):
+            (col,) = cache.columns(ids, (dst,), t.nbytes)
+            assert type(col) is tuple and col == cols[j]
+            for i, src in enumerate(ids):
+                assert cols[j][i] == cache.time(src, dst, t.nbytes)
 
     def test_per_mesh_instances(self):
         clear_all()

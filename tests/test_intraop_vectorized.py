@@ -1,11 +1,13 @@
-"""Differential tests: vectorized intra-op DP ≡ pure-Python reference.
+"""Differential tests: scalar intra-op DP ≡ pure-Python reference.
 
-The vectorized :func:`optimize_stage` must be **bit-identical** to
-:func:`optimize_stage_reference` — same DP estimate, same committed
-strategy (output/input shardings, factor, comm time) at every node, and
-the executor must produce equal :class:`StageProfile`s from both plans.
-Equality, not closeness: the vectorized path replays every float
-operation of the reference in the same order.
+The fast :func:`optimize_stage` — one forward loop that builds tables and
+contracts edges on tuples of floats, one push-based reverse loop — must
+be **bit-identical** to :func:`optimize_stage_reference`: same DP
+estimate, same committed strategy (output/input shardings, factor, comm
+time) at every node, and the executor must produce equal
+:class:`StageProfile`s from both plans.  Equality, not closeness: the
+fast path replays every float operation of the reference in the same
+order.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ def strategy_key(assignment):
             s.factor, s.comm_time)
 
 
-def assert_identical(graph, mesh):
-    vec = optimize_stage(graph, mesh)
-    ref = optimize_stage_reference(graph, mesh)
+def assert_identical(graph, mesh, vec=None, ref=None):
+    """``vec`` ≡ ``ref`` (default: a fresh solve of each)."""
+    vec = optimize_stage(graph, mesh) if vec is None else vec
+    ref = optimize_stage_reference(graph, mesh) if ref is None else ref
     assert vec.estimated_time == ref.estimated_time  # bitwise, no tolerance
     for nid in range(len(graph)):
         assert strategy_key(vec.assignments[nid]) == \
