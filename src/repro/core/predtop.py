@@ -19,8 +19,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..cluster.mesh import DeviceMesh
 from ..models.clustering import Clustering
 from ..models.model import Model
@@ -28,9 +26,10 @@ from ..predictors.analytical import AnalyticalPredictor
 from ..predictors.base import LatencyPredictor
 from ..predictors.dataset import StageSample
 from ..predictors.trainer import TrainConfig
-from ..predictors.trust import EnsemblePredictor, TrustConfig, TrustStats, assess
-from ..runtime.pipeline import whitebox_latency
+from ..predictors.trust import (EnsemblePredictor, TrustConfig, TrustStats,
+                                fit_guarded, resolve)
 from ..runtime.profiler import ProfiledStage, StageProfiler
+from ..runtime.schedules import get_schedule
 from .sampling import stratified_sample
 
 
@@ -143,7 +142,7 @@ class PredTOP:
         to the plain single fit); a fit that diverges is retrained once
         with a fresh seed.  If *every* member diverges the framework
         degrades: ``predictor`` stays ``None`` and the prediction phase
-        serves calibrated analytical estimates instead of crashing.
+        escalates every stage instead of crashing.
         """
         if not self._profiled:
             raise RuntimeError("run profiling_phase first")
@@ -151,31 +150,19 @@ class PredTOP:
                    for p in self._profiled]
         if len(samples) < 3:
             raise RuntimeError("need at least 3 profiled stages to train")
-        # hold out a small validation slice for early stopping; every other
-        # profiled stage trains (there is no test split inside the
-        # framework — accuracy evaluation lives in the experiments layer)
-        rng = np.random.default_rng(self.config.seed)
-        order = rng.permutation(len(samples))
-        n_val = max(1, int(round(self.config.val_fraction * len(samples))))
-        val = [samples[i] for i in order[:n_val]]
-        train = [samples[i] for i in order[n_val:]]
-        tcfg = self.config.trust
-        self.ensemble = EnsemblePredictor(
-            self.config.predictor_kind, seed=self.config.seed,
-            size=tcfg.ensemble_size if tcfg.enabled else 1)
-        fit = self.ensemble.fit(
-            train, val, self.config.train,
+        # the held-out slice only stops training early: accuracy
+        # evaluation lives in the experiments layer
+        self.ensemble, self._analytical, fit = fit_guarded(
+            samples, self.mesh.gpu, self.config.trust, self.config.train,
+            kind=self.config.predictor_kind, seed=self.config.seed,
+            n_val=round(self.config.val_fraction * len(samples)),
             checkpoint_path=self.config.checkpoint_path,
             resume=self.config.resume)
         self.costs.training_seconds += fit.wall_seconds
         self.trust_stats.retrained += fit.retrained
-        self._analytical = AnalyticalPredictor(self.mesh.gpu)
-        self._analytical.fit(samples, [])
-        if fit.degraded:
-            self.trust_stats.degraded += 1
-            self.predictor = None
-        else:
-            self.predictor = self.ensemble.members[0]
+        self.trust_stats.degraded += fit.degraded
+        self.predictor = (None if self.ensemble is None
+                          else self.ensemble.members[0])
         return self.predictor
 
     # ------------------------------------------------------------- phase 3
@@ -187,13 +174,14 @@ class PredTOP:
         """Predict optimal stage latency for all (or given) slices.
 
         With trust enabled each prediction passes the uncertainty /
-        OOD / physical-bounds guards; suspect entries escalate to
-        re-profiling while ``trust.budget`` lasts, then to the
-        calibrated analytical estimate.  A fully degraded predictor
-        (every ensemble member diverged) serves analytical estimates
-        outright.
+        OOD / physical-bounds guards (:func:`~repro.predictors.trust.
+        resolve`).  Suspect entries, and every entry of a fully degraded
+        predictor (every ensemble member diverged, trust on or off),
+        are re-profiled while ``trust.budget`` lasts, then replaced by
+        the calibrated analytical estimate.  The budget is shared by
+        every call on this instance.
         """
-        if self.predictor is None and self._analytical is None:
+        if self._analytical is None:
             raise RuntimeError("run training_phase first")
         slices = slices or [self.clustering.slice_range(i, j)
                             for i in range(self.clustering.n_units)
@@ -201,35 +189,18 @@ class PredTOP:
         t0 = time.perf_counter()
         graphs = [self.profiler.predictor_graph(s, e, microbatch)
                   for (s, e) in slices]
-        tcfg = self.config.trust
-        if self.predictor is None:
-            # degraded: the learned predictor is gone, serve the fallback
-            preds = self._analytical.predict_graphs(graphs)
-            self.trust_stats.escalated_analytical += len(slices)
-        elif not tcfg.enabled:
-            preds = self.predictor.predict_graphs(graphs)
-        else:
-            mean, std, ood = self.ensemble.predict_many(graphs)
-            ana = self._analytical.predict_graphs(graphs)
-            preds = []
-            for k, g in enumerate(graphs):
-                guarded = assess(float(mean[k]), float(std[k]),
-                                 float(ood[k]),
-                                 float(ana[k]), tcfg)
-                self.trust_stats.record(guarded)
-                if guarded.trusted:
-                    preds.append(guarded.value)
-                elif self.trust_stats.budget_spent < tcfg.budget:
-                    p = self._measure(*slices[k], None, None)
-                    self.costs.profiling_seconds += p.profiling_cost
-                    self.trust_stats.budget_spent += p.profiling_cost
-                    self.trust_stats.escalated_profiled += 1
-                    preds.append(p.latency)
-                else:
-                    self.trust_stats.escalated_analytical += 1
-                    preds.append(float(ana[k]))
+
+        def reprofile(k: int) -> tuple[float, float]:
+            p = self._measure(*slices[k], None, None)
+            self.costs.profiling_seconds += p.profiling_cost
+            return p.latency, p.profiling_cost
+
+        raw = (None if self.ensemble is None
+               else self.ensemble.predict_many(graphs))
+        preds = resolve(raw, graphs, self._analytical, self.config.trust,
+                        self.trust_stats, reprofile)
         self.costs.inference_seconds += time.perf_counter() - t0
-        return {sl: float(p) for sl, p in zip(slices, preds)}
+        return dict(zip(slices, preds))
 
     # ------------------------------------------------------------ white box
     @staticmethod
@@ -238,10 +209,6 @@ class PredTOP:
                                   schedule: str = "1f1b") -> float:
         """Gray-box composition: the schedule's closed form over predicted
         stage latencies (Eqn 4 for the default 1F1B)."""
-        if schedule == "1f1b":
-            return whitebox_latency(stage_latencies, n_microbatches)
-        from ..runtime.schedules import get_schedule
-
         return get_schedule(schedule).closed_form(stage_latencies,
                                                   n_microbatches)
 

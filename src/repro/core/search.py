@@ -32,10 +32,10 @@ from ..models.clustering import Clustering
 from ..models.model import Model
 from ..parallel.inter_op import INFEASIBLE, LatencyTable, slice_stages
 from ..parallel.plans import ParallelPlan
-from ..predictors.analytical import AnalyticalPredictor
 from ..predictors.dataset import StageSample
 from ..predictors.trainer import TrainConfig
-from ..predictors.trust import EnsemblePredictor, TrustConfig, TrustStats, assess
+from ..predictors.trust import (TrustConfig, TrustStats, calibrated_analytical,
+                                fit_guarded, resolve)
 from ..runtime.pipeline import PipelineSimulator
 from ..runtime.profiler import StageProfiler
 from .sampling import stratified_sample
@@ -91,7 +91,7 @@ class PlanSearcher:
         self.submeshes = enumerate_submeshes(cluster)
         self.n_microbatches = n_microbatches
         #: pipeline schedule for the DP objective and plan scoring; the
-        #: default keeps both bit-identical to the pre-registry code
+        #: default 1F1B scores plans on the seed ``PipelineSimulator``
         self.schedule = get_schedule(schedule)
         self.profiler = profiler or StageProfiler(model)
         self.sample_fraction = sample_fraction
@@ -189,12 +189,10 @@ class PlanSearcher:
             true_times, self.n_microbatches, transfer_time=transfer)
 
     def _run_dp(self, table: LatencyTable) -> ParallelPlan:
-        # schedule=None routes 1F1B through the original Eqn-4 arithmetic
-        spec = None if self.schedule.name == "1f1b" else self.schedule
         return slice_stages(self.clustering, self.submeshes, table,
                             self.n_microbatches,
                             total_devices=self.cluster.num_devices,
-                            schedule=spec)
+                            schedule=self.schedule)
 
     # ------------------------------------------------------------ approaches
     def search_full(self) -> SearchResult:
@@ -267,110 +265,76 @@ class PlanSearcher:
 
         rest_graphs = [self.profiler.predictor_graph(
             *self.clustering.slice_range(ui, uj)) for (ui, uj) in rest]
-        ensemble_size = tcfg.ensemble_size if tcfg.enabled else 1
+        gpus = [sm.gpu for sm in self.submeshes]
         seed, train_config, jobs = self.seed, self.train_config, self.jobs
 
         def fit_and_predict(item: tuple[int, list[StageSample]]):
-            """Train one per-submesh ensemble, predict the unprofiled rest.
+            """Fit one submesh's guarded predictor and predict the rest.
 
-            Returns ``(status, mean, std, ood, train_s, infer_s,
-            retrained, detail)``; any exception — including an injected
+            Returns ``(status, raw, analytical, train_s, infer_s,
+            retrained, detail)``, ``raw`` being the ensemble's ``(mean,
+            std, ood)`` arrays; any exception — including an injected
             ``predictor_error`` — degrades the submesh instead of
             aborting the search.  It reads no ``self``: the pool keeps
             its last task, which must not pin the searcher.
             """
             mi, samples = item
-            wall = 0.0
+            analytical = fit = None
             try:
-                rng = np.random.default_rng(seed)
-                order = rng.permutation(len(samples))
-                n_val = max(1, len(samples) // 6)
-                val = [samples[i] for i in order[:n_val]]
-                train = [samples[i] for i in order[n_val:]]
-                ensemble = EnsemblePredictor(kind, seed=seed,
-                                             size=ensemble_size)
-                fit = ensemble.fit(train, val, train_config, jobs=jobs)
-                wall = fit.wall_seconds
-                if fit.degraded:
-                    return ("degraded", None, None, None, wall, 0.0,
-                            fit.retrained, "every ensemble member diverged")
+                ensemble, analytical, fit = fit_guarded(
+                    samples, gpus[mi], tcfg, train_config, kind=kind,
+                    seed=seed, n_val=len(samples) // 6, jobs=jobs)
+                if ensemble is None:
+                    return ("degraded", None, analytical, fit.wall_seconds,
+                            0.0, fit.retrained,
+                            "every ensemble member diverged")
                 t0 = time.perf_counter()
                 faults.fire("predictor_error", mi)
-                if rest_graphs:
-                    # one batched pass over every unprofiled stage
-                    mean, std, ood = ensemble.predict_many(rest_graphs)
-                else:
-                    mean = std = ood = np.empty(0)
-                return ("ok", mean, std, ood, wall,
+                # one batched pass over every unprofiled stage
+                raw = (ensemble.predict_many(rest_graphs) if rest_graphs
+                       else (np.empty(0),) * 3)
+                return ("ok", raw, analytical, fit.wall_seconds,
                         time.perf_counter() - t0, fit.retrained, "")
             except Exception as exc:  # noqa: BLE001 — degrade, don't abort
-                return ("error", None, None, None, wall, 0.0, 0,
+                return ("error", None, analytical,
+                        fit.wall_seconds if fit else 0.0, 0.0, 0,
                         f"{type(exc).__name__}: {exc}")
 
         # one independent training per submesh — also engine-parallel
         trained = parallel_map(fit_and_predict,
                                list(enumerate(per_submesh)), self.jobs)
-        train_cost = sum(t[4] for t in trained)
-        infer_cost = sum(t[5] for t in trained)
+        train_cost = sum(t[3] for t in trained)
+        infer_cost = sum(t[4] for t in trained)
 
         stats = TrustStats()
         degradations: list[str] = []
-        extra_prof = 0.0
-        ana_cache: dict[int, np.ndarray] = {}
-
-        def analytical_rest(mi: int) -> np.ndarray:
-            """Per-submesh-calibrated analytical estimates for ``rest``."""
-            hit = ana_cache.get(mi)
-            if hit is None:
-                ana = AnalyticalPredictor(self.submeshes[mi].gpu)
-                ana.fit(per_submesh[mi], [])
-                hit = ana_cache[mi] = ana.predict_graphs(rest_graphs)
-            return hit
-
-        def escalate(mi: int, k: int, fallback: float) -> float:
-            """Re-profile a suspect entry within budget, else fall back."""
-            nonlocal extra_prof
-            if stats.budget_spent < tcfg.budget:
-                ls = self.clustering.slice_range(*rest[k])
-                lat, c = self._measure(ls, self.submeshes[mi])
-                extra_prof += c
-                stats.budget_spent += c
-                stats.escalated_profiled += 1
-                return lat
-            stats.escalated_analytical += 1
-            return fallback
-
-        for mi, (status, mean, std, ood, _, _, retrained, detail) \
+        for mi, (status, raw, analytical, _, _, retrained, detail) \
                 in enumerate(trained):
             stats.retrained += retrained
+            submesh = self.submeshes[mi]
             if status != "ok":
-                # predictor threw or diverged past retraining: fill the
-                # whole submesh through the escalation policy
+                # predictor threw or diverged past retraining: every entry
+                # of the submesh escalates
                 stats.degraded += 1
-                degradations.append(f"submesh {self.submeshes[mi].key()} "
+                degradations.append(f"submesh {submesh.key()} "
                                     f"predictor {status}: {detail}")
-                ana = analytical_rest(mi)
-                for k, (ui, uj) in enumerate(rest):
-                    table.set(ui, uj, mi,
-                              max(escalate(mi, k, float(ana[k])), 1e-6))
-                continue
-            rule = faults.check("predict_garbage", mi)
-            if rule is not None and len(mean):
-                mean = faults.garbage_predictions(mean, mi, rule)
-            if not tcfg.enabled:
-                for (ui, uj), p in zip(rest, mean):
-                    table.set(ui, uj, mi, max(float(p), 1e-6))
-                continue
-            ana = analytical_rest(mi)
-            for k, (ui, uj) in enumerate(rest):
-                guarded = assess(float(mean[k]), float(std[k]),
-                                 float(ood[k]), float(ana[k]), tcfg)
-                stats.record(guarded)
-                value = (guarded.value if guarded.trusted
-                         else escalate(mi, k, float(ana[k])))
+                analytical = analytical or calibrated_analytical(
+                    per_submesh[mi], submesh.gpu)
+            else:
+                rule = faults.check("predict_garbage", mi)
+                if rule is not None and len(raw[0]):
+                    raw = (faults.garbage_predictions(raw[0], mi, rule),
+                           *raw[1:])
+            values = resolve(
+                raw, rest_graphs, analytical, tcfg, stats,
+                lambda k: self._measure(
+                    self.clustering.slice_range(*rest[k]), submesh))
+            for (ui, uj), value in zip(rest, values):
                 table.set(ui, uj, mi, max(value, 1e-6))
 
         plan = self._run_dp(table)
+        # every re-profile's cost goes to the budget, and nowhere else
+        extra_prof = stats.budget_spent
         total = prof_cost + train_cost + infer_cost + extra_prof
         breakdown = {"profiling": prof_cost, "training": train_cost,
                      "inference": infer_cost}

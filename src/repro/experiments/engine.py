@@ -23,7 +23,8 @@ This module provides:
   of raising;
 * :func:`run_grid` / :func:`run_grid_report` — the Table V/VI cell grid
   through the supervisor, journaled to the run manifest
-  (``.repro_cache/manifest.jsonl``).
+  (``.repro_cache/manifest.jsonl``), on workers forked after the parent
+  profiled the grid's stage corpora.
 
 Determinism: every cell derives its seed from the experiment profile
 alone (never from worker identity, completion order, or — critically —
@@ -484,12 +485,13 @@ def run_grid_report(
                  jobs=jobs)
     if jobs > 1:
         # profile the stage corpora once in the parent (cheap relative to
-        # training) so every forked worker inherits them copy-on-write
-        # instead of redundantly re-profiling per process
+        # training), then fork fresh workers that inherit them
+        # copy-on-write: an earlier grid's would re-profile them
         from .corpus import stage_corpus
 
         for scenario in {scenario for (scenario, _, _) in cells}:
             stage_corpus(family, scenario, profile)
+        pool_mod.shutdown()
     start = time.perf_counter()
     outcome = supervised_map(_run_one_cell, tasks, jobs, timeout=timeout,
                              retries=retries, labels=labels,

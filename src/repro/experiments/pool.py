@@ -17,13 +17,15 @@ warmed up (plan caches, encoded graphs, profiled corpora) is reused:
   callable at spawn time), a larger worker count, any ``REPRO_*``
   environment change (fault plans, cache roots, feature gates are read
   by workers), or a replaced multiprocessing context (tests inject
-  broken ones).  Repeated maps over one hoisted callable — grid cells,
-  a daemon's searches within one model generation — keep their
-  workers.  Sweeps over different callables do not: one
-  ``search_predtop`` maps a per-searcher profiling callable, then a
-  per-search fit closure, then (when two or more of its plan's stages
-  are unprofiled) the profiling callable again to score the plan, and
-  each of those sweeps forks the pool afresh.
+  broken ones).  Repeated maps over one hoisted callable — a daemon's
+  searches within one model generation — keep their workers; a grid
+  run calls :func:`shutdown` once its corpora are profiled in the
+  parent, so its workers fork with them.  Sweeps over different
+  callables do not: one ``search_predtop`` maps a per-searcher
+  profiling callable, then a per-search fit closure, then (when two or
+  more of its plan's stages are unprofiled) the profiling callable
+  again to score the plan, and each of those sweeps forks the pool
+  afresh.
 
 Results never depend on worker identity or reuse: a parallel map is
 bit-identical to the serial loop.
@@ -270,14 +272,18 @@ class PersistentPool:
 _POOL: PersistentPool | None = None
 
 
-def _shutdown_global() -> None:
+def shutdown() -> None:
+    """Stop the process-wide pool; the next map forks fresh workers."""
     global _POOL
     if _POOL is not None:
         _POOL.shutdown()
         _POOL = None
 
 
-atexit.register(_shutdown_global)
+#: the name perfbench's serving workload calls
+_shutdown_global = shutdown
+
+atexit.register(shutdown)
 
 
 def get_pool(fn: Callable, jobs: int) -> PersistentPool:

@@ -12,13 +12,12 @@ Alpa (OSDI'22 §5.2), the max term is handled by iterating over candidate
 minimizes ``Σ t_i`` subject to every stage's latency ≤ ``t_max``; the best
 objective over all bounds is optimal.
 
-With a :class:`~repro.runtime.schedules.ScheduleSpec` the DP minimizes
-that schedule's closed form instead, through its
-``dp_objective(sum_t, max_t, B)`` — any function nondecreasing in both
-arguments keeps the t_max-iteration scheme exact, because for a fixed
-bound the DP still minimizes ``Σ t_i`` and the per-bound optimum is
-``dp_objective(min Σ t, t_max, B)``.  ``schedule=None`` (the default)
-preserves the original Eqn-4 arithmetic bit for bit.
+Other schedules plug in through their
+:class:`~repro.runtime.schedules.ScheduleSpec`: the DP minimizes the
+schedule's ``dp_objective(sum_t, max_t, B)`` (1F1B's is Eqn 4).  Any
+function nondecreasing in both arguments keeps the t_max-iteration
+scheme exact, because for a fixed bound the DP still minimizes ``Σ t_i``
+and the per-bound optimum is ``dp_objective(min Σ t, t_max, B)``.
 
 ``StageLatencySource`` abstracts where latencies come from, so exhaustive
 profiling, partial profiling, and PredTOP variants all reuse this DP.
@@ -85,8 +84,7 @@ def slice_stages(
             largest submesh's device count).
         max_stages: optional cap on pipeline depth.
         schedule: pipeline schedule whose ``dp_objective`` the DP
-            minimizes; ``None`` keeps the original Eqn-4 float
-            arithmetic exactly (the 1F1B differential tests pin this).
+            minimizes (``None`` = 1F1B, Eqn 4).
 
     Returns:
         The minimizing :class:`ParallelPlan`; its ``iteration_latency`` is
@@ -96,19 +94,9 @@ def slice_stages(
     D = total_devices or max(m.num_devices for m in submeshes)
 
     if schedule is None:
-        def objective(total: float, t_max: float) -> float:
-            return total + (n_microbatches - 1) * t_max
+        from ..runtime.schedules import get_schedule
 
-        def floor(t_max: float) -> float:
-            return (n_microbatches - 1) * t_max
-    else:
-        def objective(total: float, t_max: float) -> float:
-            return schedule.dp_objective(total, t_max, n_microbatches)
-
-        def floor(t_max: float) -> float:
-            # with sum_t = 0 this is the smallest objective any plan
-            # bounded by t_max can reach (dp_objective is nondecreasing)
-            return schedule.dp_objective(0.0, t_max, n_microbatches)
+        schedule = get_schedule("1f1b")
 
     # distinct candidate t_max values, ascending
     candidates = sorted({
@@ -122,29 +110,21 @@ def slice_stages(
     best_plan: ParallelPlan | None = None
     best_total = INFEASIBLE
     for t_max in candidates:
-        # candidates ascend: once the t_max-only term alone exceeds the
-        # incumbent, no later bound can win
-        if best_plan is not None and floor(t_max) >= best_total:
+        # candidates ascend: once the t_max-only term alone (the
+        # objective at sum_t = 0; dp_objective is nondecreasing) reaches
+        # the incumbent, no later bound can win
+        if (best_plan is not None and schedule.dp_objective(
+                0.0, t_max, n_microbatches) >= best_total):
             break
         total, stages = _dp_min_sum(clustering, submeshes, source, D,
                                     t_max, max_stages)
         if total >= INFEASIBLE:
             continue
-        pipeline = objective(total, t_max)
+        pipeline = schedule.dp_objective(total, t_max, n_microbatches)
         if pipeline < best_total:
             best_total = pipeline
             best_plan = ParallelPlan(stages, pipeline, n_microbatches)
     return best_plan or ParallelPlan([], INFEASIBLE, n_microbatches)
-
-
-def sum_lower_bound(source: StageLatencySource, n_units: int,
-                    submeshes: Sequence[DeviceMesh], devices: int) -> float:
-    """Cheap lower bound on Σ t_i: the single best whole-model stage."""
-    best = INFEASIBLE
-    for mi, m in enumerate(submeshes):
-        if m.num_devices == devices:
-            best = min(best, source.latency(0, n_units, mi))
-    return 0.0 if best >= INFEASIBLE else best
 
 
 def _dp_min_sum(

@@ -21,6 +21,12 @@ one:
   often the model was trusted, clamped, or escalated to the analytical
   predictor / re-profiling.
 
+``PredTOP``, the plan search and the serving daemon share one policy:
+:func:`fit_guarded` fits the ensemble and calibrates the analytical
+estimator, and :func:`resolve` re-profiles suspect entries (and every
+entry of a degraded predictor) within ``budget``, else serves the
+analytical estimate.
+
 The layer is opt-in (``REPRO_TRUST=1``; :meth:`TrustConfig.from_env`).
 With it disabled — the default — the prediction path is bit-identical to
 the unguarded one, and an ensemble of size 1 *is* the plain single
@@ -31,11 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ..cluster.gpu import GPUSpec
 from ..env import env_setting, flag
 from ..ir.graph import Graph
+from .analytical import AnalyticalPredictor
 from .base import LatencyPredictor, build_model
 from .dataset import Normalizer, StageSample
 from .encoding_cache import cached_encoding
@@ -232,7 +241,6 @@ class EnsemblePredictor:
         *,
         checkpoint_path: str | None = None,
         resume: bool = False,
-        retrain_on_divergence: bool = True,
         jobs: int | None = None,
     ) -> EnsembleFitResult:
         """Fit all K members, fanned across the engine's worker pool.
@@ -271,7 +279,7 @@ class EnsemblePredictor:
             result = member.fit(train, val, mcfg, checkpoint_path=mpath,
                                 resume=resume)
             retrained = 0
-            if result.diverged and retrain_on_divergence:
+            if result.diverged:
                 retrained = 1
                 member = LatencyPredictor(
                     self.kind, seed=self.seed + i + RETRY_SEED_OFFSET)
@@ -452,13 +460,6 @@ class TrustStats:
     def suspect(self) -> int:
         return self.invalid + self.ood + self.uncertain + self.out_of_bounds
 
-    def merge(self, other: "TrustStats") -> None:
-        for f in ("total", "trusted", "invalid", "ood", "uncertain",
-                  "out_of_bounds", "escalated_profiled",
-                  "escalated_analytical", "retrained", "degraded"):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-        self.budget_spent += other.budget_spent
-
     def as_dict(self) -> dict:
         return {
             "total": self.total, "trusted": self.trusted,
@@ -483,3 +484,80 @@ class TrustStats:
                 f"{self.escalated_analytical} analytical "
                 f"({self.budget_spent:.1f}s budget), "
                 f"{self.retrained} retrained, {self.degraded} degraded")
+
+
+# ------------------------------------------------------------------ policy
+class GuardedFit(NamedTuple):
+    """What :func:`fit_guarded` made of one profiled corpus."""
+
+    #: ``None`` when every member diverged (the predictor degraded)
+    ensemble: EnsemblePredictor | None
+    #: calibrated on every sample: the bounds oracle and the fallback
+    analytical: AnalyticalPredictor
+    fit: EnsembleFitResult
+
+
+def calibrated_analytical(samples: Sequence[StageSample],
+                          gpu: GPUSpec) -> AnalyticalPredictor:
+    """The analytical estimator calibrated on ``samples``, in order."""
+    analytical = AnalyticalPredictor(gpu)
+    analytical.fit(samples, [])
+    return analytical
+
+
+def fit_guarded(samples: Sequence[StageSample], gpu: GPUSpec,
+                cfg: TrustConfig, train: TrainConfig, *, kind: str,
+                seed: int, n_val: int, jobs: int | None = None,
+                checkpoint_path: str | None = None,
+                resume: bool = False) -> GuardedFit:
+    """Fit one corpus's guarded predictor: a seeded permutation holds
+    out ``max(1, n_val)`` samples for early stopping, the rest train
+    ``cfg.ensemble_size`` members with trust enabled (one, the plain
+    predictor, without), and the analytical estimator is calibrated on
+    every sample."""
+    order = np.random.default_rng(seed).permutation(len(samples))
+    n_val = max(1, n_val)
+    ensemble = EnsemblePredictor(
+        kind, seed=seed, size=cfg.ensemble_size if cfg.enabled else 1)
+    fit = ensemble.fit([samples[i] for i in order[n_val:]],
+                       [samples[i] for i in order[:n_val]], train,
+                       checkpoint_path=checkpoint_path, resume=resume,
+                       jobs=jobs)
+    return GuardedFit(None if fit.degraded else ensemble,
+                      calibrated_analytical(samples, gpu), fit)
+
+
+def resolve(raw: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+            graphs: list[Graph], analytical: AnalyticalPredictor,
+            cfg: TrustConfig, stats: TrustStats,
+            reprofile: Callable[[int], tuple[float, float]]) -> list[float]:
+    """The stage latency to use for each of ``graphs``.
+
+    ``raw`` is the ensemble's ``(mean, std, ood)``, or ``None`` for a
+    degraded predictor.  With trust disabled the means pass through and
+    nothing is recorded.  Otherwise every entry is assessed; a suspect
+    one, and every entry of a degraded predictor, is re-profiled
+    (``reprofile(k) -> (latency, cost)``) while ``stats.budget_spent <
+    cfg.budget`` — in entry order, across all calls sharing ``stats`` —
+    and else takes its analytical estimate.
+    """
+    if raw is not None and not cfg.enabled:
+        return [float(m) for m in raw[0]]
+    out: list[float] = []
+    for k, estimate in enumerate(analytical.predict_graphs(graphs)):
+        if raw is not None:
+            guarded = assess(float(raw[0][k]), float(raw[1][k]),
+                             float(raw[2][k]), float(estimate), cfg)
+            stats.record(guarded)
+            if guarded.trusted:
+                out.append(guarded.value)
+                continue
+        if stats.budget_spent < cfg.budget:
+            latency, cost = reprofile(k)
+            stats.budget_spent += cost
+            stats.escalated_profiled += 1
+            out.append(latency)
+        else:
+            stats.escalated_analytical += 1
+            out.append(float(estimate))
+    return out

@@ -41,8 +41,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .. import faults
 from ..cluster.mesh import DeviceMesh
 from ..cluster.platforms import MESH_CONFIGS, PLATFORMS, get_platform
@@ -58,7 +56,7 @@ from ..predictors.dataset import StageSample
 from ..predictors.serialize import load_predictor
 from ..predictors.trainer import TrainConfig
 from ..predictors.trust import (EnsemblePredictor, FeatureStats, TrustConfig,
-                                assess)
+                                assess, calibrated_analytical, fit_guarded)
 from ..runtime.profiler import StageProfiler
 from ..runtime.schedules import get_schedule, schedule_names
 from .protocol import ProtocolError
@@ -165,30 +163,23 @@ class PredictorRuntime:
         profiled = [profiler.best_profile(s, e, mesh) for s, e in slices]
         samples = [StageSample(p.graph, p.latency, p.stage_id)
                    for p in profiled]
-        analytical = AnalyticalPredictor(mesh.gpu)
-        analytical.fit(samples, [])
-        feature_stats = FeatureStats.fit([s.graph for s in samples])
 
         if cfg.checkpoints:
             members = [load_predictor(path) for path in cfg.checkpoints]
-            ensemble = EnsemblePredictor.from_members(members, feature_stats)
+            ensemble = EnsemblePredictor.from_members(
+                members, FeatureStats.fit([s.graph for s in samples]))
+            analytical = calibrated_analytical(samples, mesh.gpu)
         else:
-            size = cfg.trust.ensemble_size if cfg.trust.enabled else 1
-            ensemble = EnsemblePredictor(cfg.predictor, seed=cfg.seed,
-                                         size=size)
-            rng = np.random.default_rng(cfg.seed)
-            order = rng.permutation(len(samples))
-            n_val = max(1, len(samples) // 10)
-            fit = ensemble.fit(
-                [samples[i] for i in order[n_val:]],
-                [samples[i] for i in order[:n_val]],
+            # every member diverged leaves ensemble None: analytical-only
+            # service (the breaker will observe the dead model path and
+            # stay open)
+            fitted = fit_guarded(
+                samples, mesh.gpu, cfg.trust,
                 TrainConfig(epochs=cfg.epochs, patience=cfg.epochs,
-                            batch_size=8, lr=2e-3, seed=cfg.seed))
-            ensemble.feature_stats = feature_stats
-            if fit.degraded:
-                # every member diverged: analytical-only service (the
-                # breaker will observe the dead model path and stay open)
-                ensemble = None
+                            batch_size=8, lr=2e-3, seed=cfg.seed),
+                kind=cfg.predictor, seed=cfg.seed,
+                n_val=len(samples) // 10)
+            ensemble, analytical = fitted.ensemble, fitted.analytical
         return cls(model, clustering, profiler, mesh, ensemble, analytical,
                    cfg.trust, cfg)
 

@@ -128,3 +128,43 @@ class TestDeterminism:
         assert cache.get(key) is not None
         cell = run_cell("gpt", sc, 0.5, "gcn", SMOKE)  # cache hit
         assert cell.mre == grid[(sc.key, 0.5, "gcn")]
+
+
+class TestGridWorkers:
+    def test_each_grid_forks_after_its_corpora_are_profiled(
+            self, fresh_cache, monkeypatch):
+        """A parallel grid profiles its stage corpora in the parent so
+        that every worker inherits them.  A second grid in one process
+        (``repro bench tables``, ``--family both``) must not run on the
+        first grid's workers, forked before its corpora existed."""
+        import types
+
+        import repro.experiments.corpus as corpus_mod
+        import repro.experiments.pool as pool_mod
+        import repro.experiments.tables as tables_mod
+
+        profiled = set()  # the parent's corpora; a fork copies the set
+
+        def fake_corpus(family, scenario, profile):
+            profiled.add((family, scenario.key))
+            return []
+
+        def fake_cell(family, scenario, fraction, kind, profile):
+            # mre 1.0: the worker was forked after this corpus existed
+            return types.SimpleNamespace(
+                scenario_key=scenario.key, fraction=fraction, kind=kind,
+                mre=float((family, scenario.key) in profiled),
+                epochs_run=0, train_seconds=0.0, diverged=False,
+                retrained=False)
+
+        monkeypatch.setattr(corpus_mod, "stage_corpus", fake_corpus)
+        monkeypatch.setattr(tables_mod, "run_cell", fake_cell)
+        fresh_cache("grids")
+        try:
+            for family in ("gpt", "bert"):
+                report = engine.run_grid_report(
+                    "platform1", family, SMOKE, ("gcn",), (0.5,), jobs=2)
+                assert report.completed == report.cells > 1
+                assert set(report.results.values()) == {1.0}, family
+        finally:
+            pool_mod.shutdown()  # its workers hold the fakes

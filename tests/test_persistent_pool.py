@@ -21,10 +21,10 @@ from repro.experiments.engine import parallel_map, supervised_map
 @pytest.fixture(autouse=True)
 def fresh_pool():
     """Each test starts (and ends) with no live pool and zeroed stats."""
-    pool_mod._shutdown_global()
+    pool_mod.shutdown()
     pool_mod.pool_stats().reset()
     yield
-    pool_mod._shutdown_global()
+    pool_mod.shutdown()
 
 
 def _double(x):

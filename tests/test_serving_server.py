@@ -209,7 +209,7 @@ class TestForkedSearchWorkers:
         still predict, not block until the supervisor kills its cell."""
         from repro.experiments import pool
 
-        pool._shutdown_global()  # the search below forks fresh workers
+        pool.shutdown()  # the search below forks fresh workers
         srv = ReproServer(serving_runtime, ServerConfig(port=0, workers=1),
                           journal_root=tmp_path)
         srv.start()

@@ -98,9 +98,6 @@ class TestAssess:
         stats.record(assess(1000.0, 0.0, 0.0, 1.0, self.CFG))
         assert stats.total == 2 and stats.trusted == 1
         assert stats.out_of_bounds == 1 and stats.suspect == 1
-        other = TrustStats(retrained=2, budget_spent=3.0)
-        stats.merge(other)
-        assert stats.retrained == 2 and stats.budget_spent == 3.0
         d = stats.as_dict()
         assert d["total"] == 2 and d["trusted"] == 1
         assert "suspect" in stats.summary() or "trusted" in stats.summary()
